@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "adaptive/scheduler.h"
@@ -80,6 +83,152 @@ double Aggregate(RankAggregation agg, double subject_rank,
   return 0.5 * (subject_rank + object_rank);
 }
 
+/// Algorithm 1 lines 14-15 for one batch of candidates of relation `r`:
+/// scores every (s, r) and (r, o) side entry that `score_cache` does not
+/// hold yet (fetched from, then published to, options.shared_cache when
+/// set), ranks each candidate against its two entries, and appends those
+/// with aggregate rank <= top_n to `facts` in candidate order. Returns the
+/// number of entries this call scored or fetched, or nullopt once a stop
+/// was observed — ranks may then be partial, so the caller abandons the
+/// relation.
+///
+/// Ranking runs per side entry, not per candidate: the k candidates that
+/// share an entry are ranked together in one pass over its |E| scores
+/// (RankTargetsAgainstScores). Entries fan out over `pool`; ranks land in
+/// fixed per-candidate slots and the top_n filter runs serially, so the
+/// facts are bit-identical for every thread count.
+std::optional<size_t> RankCandidates(
+    const Model& model, const TripleStore& kg, RelationId r,
+    const std::vector<Triple>& candidates, const DiscoveryOptions& options,
+    ThreadPool* pool, const CancelContext* cancel,
+    const std::function<bool()>& checkpoint_stop,
+    const std::function<bool()>& fine_stop, SideScoreCache* score_cache,
+    std::vector<DiscoveredFact>* facts) {
+  // Side 0: object-score entries keyed (s, r), ranking their candidates'
+  // objects. Side 1: subject-score entries keyed (o, r), ranking subjects.
+  struct Side {
+    std::vector<EntityId> entities;            // entry keys, first seen first
+    std::vector<SideScoreCache::Key> missing;  // keys score_cache lacks
+    // Candidate indices grouped by entry: entry e holds
+    // members[offsets[e] .. offsets[e + 1]).
+    std::vector<size_t> offsets;
+    std::vector<size_t> members;
+    std::vector<double> ranks;  // per candidate
+  };
+  const size_t n_cand = candidates.size();
+  Side sides[2];
+  std::vector<size_t> entry_of(n_cand);
+  for (int side = 0; side < 2; ++side) {
+    Side& sd = sides[side];
+    std::unordered_map<EntityId, size_t> index;
+    for (size_t i = 0; i < n_cand; ++i) {
+      const EntityId e =
+          side == 0 ? candidates[i].subject : candidates[i].object;
+      const auto [it, fresh] = index.emplace(e, sd.entities.size());
+      if (fresh) {
+        sd.entities.push_back(e);
+        if ((side == 0 ? score_cache->FindObjects(e, r)
+                       : score_cache->FindSubjects(r, e)) == nullptr) {
+          sd.missing.emplace_back(e, r);
+        }
+      }
+      entry_of[i] = it->second;
+    }
+    // Counting sort of the candidates by entry.
+    sd.offsets.assign(sd.entities.size() + 1, 0);
+    for (size_t e : entry_of) ++sd.offsets[e + 1];
+    for (size_t e = 0; e < sd.entities.size(); ++e) {
+      sd.offsets[e + 1] += sd.offsets[e];
+    }
+    std::vector<size_t> next(sd.offsets.begin(), sd.offsets.end() - 1);
+    sd.members.resize(n_cand);
+    for (size_t i = 0; i < n_cand; ++i) sd.members[next[entry_of[i]]++] = i;
+    sd.ranks.resize(n_cand);
+  }
+
+  // With a shared DiscoveryCache, seed score_cache with the entries earlier
+  // runs already scored and only precompute the rest; freshly scored
+  // entries are published back afterwards. Entries are deterministic in
+  // (model, KG), so a warm run ranks against exactly the scores a cold run
+  // would compute.
+  DiscoveryCache* const shared = options.shared_cache;
+  const bool filtered = options.filtered_ranking;
+  std::vector<SideScoreCache::Key> fresh_objects;
+  std::vector<SideScoreCache::Key> fresh_subjects;
+  if (shared != nullptr) {
+    shared->FetchObjects(sides[0].missing, filtered, score_cache,
+                         &fresh_objects);
+    shared->FetchSubjects(sides[1].missing, filtered, score_cache,
+                          &fresh_subjects);
+  }
+  score_cache->PrecomputeObjects(
+      model, kg, shared != nullptr ? fresh_objects : sides[0].missing,
+      filtered, pool, cancel);
+  score_cache->PrecomputeSubjects(
+      model, kg, shared != nullptr ? fresh_subjects : sides[1].missing,
+      filtered, pool, cancel);
+  if (shared != nullptr) {
+    // Publish skips keys a cancelled precompute never scored.
+    shared->PublishObjects(fresh_objects, filtered, *score_cache);
+    shared->PublishSubjects(fresh_subjects, filtered, *score_cache);
+  }
+  // Pre-ranking checkpoint; also covers a stop during precompute, whose
+  // partially built cache must never be dereferenced below.
+  if (checkpoint_stop()) return std::nullopt;
+
+  const size_t n_object_entries = sides[0].entities.size();
+  ParallelFor(
+      pool, n_object_entries + sides[1].entities.size(),
+      [&](size_t begin, size_t end) {
+        std::vector<size_t> targets;
+        std::vector<double> ranks;
+        RankScratch scratch;
+        for (size_t e = begin; e < end; ++e) {
+          // Bounds the serial path (one body call covering every entry)
+          // too; the relation is abandoned, so bailing mid-chunk is safe.
+          if (fine_stop()) return;
+          const int side = e < n_object_entries ? 0 : 1;
+          Side& sd = sides[side];
+          const size_t entry = side == 0 ? e : e - n_object_entries;
+          const EntityId key = sd.entities[entry];
+          const SideScoreCache::Entry* cached =
+              side == 0 ? score_cache->FindObjects(key, r)
+                        : score_cache->FindSubjects(r, key);
+          const size_t first = sd.offsets[entry];
+          const size_t last = sd.offsets[entry + 1];
+          targets.clear();
+          for (size_t m = first; m < last; ++m) {
+            const Triple& t = candidates[sd.members[m]];
+            targets.push_back(side == 0 ? t.object : t.subject);
+          }
+          RankTargetsAgainstScores(cached->scores, &cached->excluded, targets,
+                                   &ranks, &scratch);
+          for (size_t m = first; m < last; ++m) {
+            sd.ranks[sd.members[m]] = ranks[m - first];
+          }
+        }
+      },
+      cancel);
+  // A stop observed any time during ranking may have left rank slots
+  // unfilled.
+  if (fine_stop()) return std::nullopt;
+  for (size_t i = 0; i < n_cand; ++i) {
+    const double object_rank = sides[0].ranks[i];
+    const double subject_rank = sides[1].ranks[i];
+    const double rank =
+        Aggregate(options.rank_aggregation, subject_rank, object_rank);
+    if (rank <= static_cast<double>(options.top_n)) {
+      DiscoveredFact fact;
+      fact.triple = candidates[i];
+      fact.rank = rank;
+      fact.subject_rank = subject_rank;
+      fact.object_rank = object_rank;
+      facts->push_back(fact);
+    }
+  }
+  return sides[0].missing.size() + sides[1].missing.size();
+}
+
 }  // namespace
 
 Status ValidateDiscoveryOptions(const DiscoveryOptions& options,
@@ -110,8 +259,9 @@ Status ValidateDiscoveryOptions(const DiscoveryOptions& options,
 
   // Guard the mesh-grid against absurd max_candidates before anything is
   // allocated: estimate the per-relation transient footprint (sample
-  // vectors, candidate list, dedup hash set, rank slots) in double
-  // arithmetic so the estimate itself cannot overflow size_t.
+  // vectors, candidate list, dedup hash set, rank slots, and the entry
+  // index plus one member slot per side that RankCandidates groups by) in
+  // double arithmetic so the estimate itself cannot overflow size_t.
   //
   // ~48 bytes/candidate of unordered_set node + bucket overhead on top of
   // the 8-byte packed key is a deliberate overestimate.
@@ -119,7 +269,7 @@ Status ValidateDiscoveryOptions(const DiscoveryOptions& options,
   const double estimated_bytes =
       2.0 * static_cast<double>(sample_size) * sizeof(EntityId) +
       static_cast<double>(options.max_candidates) *
-          (sizeof(Triple) + 2 * sizeof(double) + 56.0);
+          (sizeof(Triple) + 2 * sizeof(double) + 3 * sizeof(size_t) + 56.0);
   if (estimated_bytes >
       static_cast<double>(options.max_candidate_memory_bytes)) {
     return Status::InvalidArgument(
@@ -192,7 +342,7 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
   // external token/deadline. No failpoint evaluation, so arming
   // discovery.cancel with a skip count stays deterministic — only the
   // coarse checkpoints below consume hits.
-  auto fine_stop = [&]() -> bool {
+  const std::function<bool()> fine_stop = [&] {
     if (stop_token.IsCancelled()) return true;
     const StoppedReason r = options.cancel.StopReason();
     if (r != StoppedReason::kNone) {
@@ -206,7 +356,7 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
   // fine_stop sees plus the discovery.cancel failpoint, which simulates a
   // stop request — Cancelled or DeadlineExceeded specs map onto the
   // matching reason; any other injected code reads as a cancellation.
-  auto checkpoint_stop = [&]() -> bool {
+  const std::function<bool()> checkpoint_stop = [&] {
     if (fine_stop()) return true;
     const Status injected =
         FailPoints::Instance().Evaluate(kFailPointDiscoveryCancel);
@@ -428,110 +578,12 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
     if (checkpoint_stop()) return;  // post-generation checkpoint
 
     // Lines 14-15: rank candidates against corruptions, keep rank <= top_n.
-    // The dominant phase: one ScoreObjects/ScoreSubjects pass per distinct
-    // (s, r) / (r, o) pair, each O(num_entities * dim). Both the scoring
-    // passes and the per-candidate rank computations are independent, so
-    // they fan out over `pool` (nested inside the per-relation loop, which
-    // TaskGroup-scoped waiting makes safe). Ranks land in fixed
-    // per-candidate slots and the top_n filter runs serially in candidate
-    // order, so the facts are bit-identical for every thread count.
     ScopedSpan ranking_span(metrics, kDiscoveryRankingSpan);
-    const size_t n_cand = local_facts.size();
-    std::vector<SideScoreCache::Key> subject_keys;  // (s, r): object scores
-    std::vector<SideScoreCache::Key> object_keys;   // (o, r): subject scores
-    {
-      std::unordered_set<EntityId> seen_subjects;
-      std::unordered_set<EntityId> seen_objects;
-      for (const Triple& t : local_facts) {
-        if (seen_subjects.insert(t.subject).second) {
-          subject_keys.emplace_back(t.subject, r);
-        }
-        if (seen_objects.insert(t.object).second) {
-          object_keys.emplace_back(t.object, r);
-        }
-      }
-    }
-    // With a shared DiscoveryCache, seed the run-local cache with the
-    // entries previous runs already scored and only precompute the misses;
-    // freshly-scored entries are published back afterwards. Entries are
-    // deterministic in (model, KG), so a warm-cache run ranks against
-    // exactly the scores a cold run would compute.
     SideScoreCache score_cache;
-    DiscoveryCache* const shared = options.shared_cache;
-    std::vector<SideScoreCache::Key> fresh_subject_keys;
-    std::vector<SideScoreCache::Key> fresh_object_keys;
-    const std::vector<SideScoreCache::Key>* precompute_subject_keys =
-        &subject_keys;
-    const std::vector<SideScoreCache::Key>* precompute_object_keys =
-        &object_keys;
-    if (shared != nullptr) {
-      shared->FetchObjects(subject_keys, options.filtered_ranking,
-                           &score_cache, &fresh_subject_keys);
-      shared->FetchSubjects(object_keys, options.filtered_ranking,
-                            &score_cache, &fresh_object_keys);
-      precompute_subject_keys = &fresh_subject_keys;
-      precompute_object_keys = &fresh_object_keys;
-    }
-    score_cache.PrecomputeObjects(model, kg, *precompute_subject_keys,
-                                  options.filtered_ranking, pool,
-                                  &run_cancel);
-    score_cache.PrecomputeSubjects(model, kg, *precompute_object_keys,
-                                   options.filtered_ranking, pool,
-                                   &run_cancel);
-    if (shared != nullptr) {
-      // Publish skips keys a cancelled precompute never scored.
-      shared->PublishObjects(fresh_subject_keys, options.filtered_ranking,
-                             score_cache);
-      shared->PublishSubjects(fresh_object_keys, options.filtered_ranking,
-                              score_cache);
-    }
-    // Pre-ranking checkpoint; also covers a stop during precompute, whose
-    // partially-built cache must never be dereferenced below.
-    if (checkpoint_stop()) return;
-    std::vector<double> subject_ranks(n_cand);
-    std::vector<double> object_ranks(n_cand);
-    ParallelFor(
-        pool, n_cand,
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            // Per-ranking-chunk granularity on the pool comes from
-            // ParallelFor's claim loop; this probe bounds the *serial*
-            // path (one body call covering all candidates) too. The
-            // relation is abandoned below, so bailing mid-chunk is safe.
-            if ((i & 63u) == 0 && fine_stop()) return;
-            const Triple& t = local_facts[i];
-            const SideScoreCache::Entry* obj_entry =
-                score_cache.FindObjects(t.subject, r);
-            object_ranks[i] = RankAgainstScores(obj_entry->scores, t.object,
-                                                &obj_entry->excluded);
-            const SideScoreCache::Entry* subj_entry =
-                score_cache.FindSubjects(r, t.object);
-            subject_ranks[i] = RankAgainstScores(subj_entry->scores,
-                                                 t.subject,
-                                                 &subj_entry->excluded);
-          }
-        },
-        // Kernel-block granularity: chunks sized in kQueryBlock multiples
-        // keep the per-chunk claim/dispatch overhead amortized over at
-        // least 64 candidates (per-candidate slivers were the PR2
-        // ranking_speedup regression) and line up with the cancel probe's
-        // 64-candidate stride above.
-        &run_cancel, kernels::kQueryBlock);
-    // A stop observed any time during ranking may have left rank slots
-    // unfilled — abandon the whole relation rather than emit partial facts.
-    if (fine_stop()) return;
-    for (size_t i = 0; i < n_cand; ++i) {
-      const double rank = Aggregate(options.rank_aggregation,
-                                    subject_ranks[i], object_ranks[i]);
-      if (rank <= static_cast<double>(options.top_n)) {
-        DiscoveredFact fact;
-        fact.triple = local_facts[i];
-        fact.rank = rank;
-        fact.subject_rank = subject_ranks[i];
-        fact.object_rank = object_ranks[i];
-        out.facts.push_back(fact);
-      }
-    }
+    const std::optional<size_t> entries = RankCandidates(
+        model, kg, r, local_facts, options, pool, &run_cancel,
+        checkpoint_stop, fine_stop, &score_cache, &out.facts);
+    if (!entries.has_value()) return;
     out.evaluation_seconds = ranking_span.Stop();
 
     if (metrics != nullptr) {
@@ -541,9 +593,8 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
       // distinct entry is the miss that paid for the scoring pass. Derived
       // arithmetically so the numbers match the serial path exactly
       // regardless of how the parallel precompute was scheduled.
-      const size_t unique_entries = subject_keys.size() + object_keys.size();
-      cache_misses_counter->Increment(unique_entries);
-      cache_hits_counter->Increment(2 * n_cand - unique_entries);
+      cache_misses_counter->Increment(*entries);
+      cache_hits_counter->Increment(2 * out.num_candidates - *entries);
       relations_counter->Increment();
     }
 
@@ -709,90 +760,15 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
 
       if (checkpoint_stop()) return;  // post-generation checkpoint
 
-      // Ranking: identical mechanics to the fixed-strategy path, restricted
-      // to this round's candidates. Only keys the relation cache has never
-      // seen are (fetched and) precomputed.
+      // Ranking, restricted to this round's candidates. Keys the relation
+      // cache already holds from earlier rounds are never re-scored.
       ScopedSpan ranking_span(metrics, kDiscoveryRankingSpan);
-      const size_t n_cand = round_candidates.size();
-      std::vector<SideScoreCache::Key> need_subject_keys;
-      std::vector<SideScoreCache::Key> need_object_keys;
-      {
-        std::unordered_set<EntityId> seen_subjects;
-        std::unordered_set<EntityId> seen_objects;
-        for (const Triple& t : round_candidates) {
-          if (seen_subjects.insert(t.subject).second &&
-              score_cache.FindObjects(t.subject, r) == nullptr) {
-            need_subject_keys.emplace_back(t.subject, r);
-          }
-          if (seen_objects.insert(t.object).second &&
-              score_cache.FindSubjects(r, t.object) == nullptr) {
-            need_object_keys.emplace_back(t.object, r);
-          }
-        }
-      }
-      unique_entries += need_subject_keys.size() + need_object_keys.size();
-      DiscoveryCache* const shared = options.shared_cache;
-      std::vector<SideScoreCache::Key> fresh_subject_keys;
-      std::vector<SideScoreCache::Key> fresh_object_keys;
-      const std::vector<SideScoreCache::Key>* precompute_subject_keys =
-          &need_subject_keys;
-      const std::vector<SideScoreCache::Key>* precompute_object_keys =
-          &need_object_keys;
-      if (shared != nullptr) {
-        shared->FetchObjects(need_subject_keys, options.filtered_ranking,
-                             &score_cache, &fresh_subject_keys);
-        shared->FetchSubjects(need_object_keys, options.filtered_ranking,
-                              &score_cache, &fresh_object_keys);
-        precompute_subject_keys = &fresh_subject_keys;
-        precompute_object_keys = &fresh_object_keys;
-      }
-      score_cache.PrecomputeObjects(model, kg, *precompute_subject_keys,
-                                    options.filtered_ranking, pool,
-                                    &run_cancel);
-      score_cache.PrecomputeSubjects(model, kg, *precompute_object_keys,
-                                     options.filtered_ranking, pool,
-                                     &run_cancel);
-      if (shared != nullptr) {
-        shared->PublishObjects(fresh_subject_keys, options.filtered_ranking,
-                               score_cache);
-        shared->PublishSubjects(fresh_object_keys, options.filtered_ranking,
-                                score_cache);
-      }
-      if (checkpoint_stop()) return;  // pre-ranking / post-precompute
-      std::vector<double> subject_ranks(n_cand);
-      std::vector<double> object_ranks(n_cand);
-      ParallelFor(
-          pool, n_cand,
-          [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-              if ((i & 63u) == 0 && fine_stop()) return;
-              const Triple& t = round_candidates[i];
-              const SideScoreCache::Entry* obj_entry =
-                  score_cache.FindObjects(t.subject, r);
-              object_ranks[i] = RankAgainstScores(obj_entry->scores, t.object,
-                                                  &obj_entry->excluded);
-              const SideScoreCache::Entry* subj_entry =
-                  score_cache.FindSubjects(r, t.object);
-              subject_ranks[i] = RankAgainstScores(subj_entry->scores,
-                                                   t.subject,
-                                                   &subj_entry->excluded);
-            }
-          },
-          &run_cancel, kernels::kQueryBlock);
-      if (fine_stop()) return;  // rank slots may be partially filled
       std::vector<DiscoveredFact> round_facts;
-      for (size_t i = 0; i < n_cand; ++i) {
-        const double rank = Aggregate(options.rank_aggregation,
-                                      subject_ranks[i], object_ranks[i]);
-        if (rank <= static_cast<double>(options.top_n)) {
-          DiscoveredFact fact;
-          fact.triple = round_candidates[i];
-          fact.rank = rank;
-          fact.subject_rank = subject_ranks[i];
-          fact.object_rank = object_ranks[i];
-          round_facts.push_back(fact);
-        }
-      }
+      const std::optional<size_t> entries = RankCandidates(
+          model, kg, r, round_candidates, options, pool, &run_cancel,
+          checkpoint_stop, fine_stop, &score_cache, &round_facts);
+      if (!entries.has_value()) return;
+      unique_entries += *entries;
       const double ranking_seconds = ranking_span.Stop();
       out.evaluation_seconds += ranking_seconds;
 

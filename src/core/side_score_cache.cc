@@ -9,64 +9,6 @@
 
 namespace kgfd {
 
-SideScoreCache::Entry SideScoreCache::MakeObjectsEntry(const Model& model,
-                                                       const TripleStore& kg,
-                                                       EntityId s,
-                                                       RelationId r,
-                                                       bool filtered) {
-  Entry entry;
-  model.ScoreObjects(s, r, &entry.scores);
-  entry.excluded.assign(entry.scores.size(), 0);
-  if (filtered) {
-    for (EntityId o : kg.ObjectsOf(s, r)) entry.excluded[o] = 1;
-  }
-  return entry;
-}
-
-SideScoreCache::Entry SideScoreCache::MakeSubjectsEntry(const Model& model,
-                                                        const TripleStore& kg,
-                                                        RelationId r,
-                                                        EntityId o,
-                                                        bool filtered) {
-  Entry entry;
-  model.ScoreSubjects(r, o, &entry.scores);
-  entry.excluded.assign(entry.scores.size(), 0);
-  if (filtered) {
-    for (EntityId s : kg.SubjectsOf(r, o)) entry.excluded[s] = 1;
-  }
-  return entry;
-}
-
-const SideScoreCache::Entry& SideScoreCache::ObjectsEntry(
-    const Model& model, const TripleStore& kg, EntityId s, RelationId r,
-    bool filtered) {
-  const uint64_t key = PackKey(s, r);
-  auto it = by_subject_.find(key);
-  if (it != by_subject_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  return by_subject_
-      .emplace(key, MakeObjectsEntry(model, kg, s, r, filtered))
-      .first->second;
-}
-
-const SideScoreCache::Entry& SideScoreCache::SubjectsEntry(
-    const Model& model, const TripleStore& kg, RelationId r, EntityId o,
-    bool filtered) {
-  const uint64_t key = PackKey(o, r);
-  auto it = by_object_.find(key);
-  if (it != by_object_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++misses_;
-  return by_object_
-      .emplace(key, MakeSubjectsEntry(model, kg, r, o, filtered))
-      .first->second;
-}
-
 namespace {
 
 /// Shared shape of both Precompute* calls: score the not-yet-cached keys

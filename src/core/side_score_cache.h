@@ -20,15 +20,11 @@ class ThreadPool;
 /// are keyed on (entity, relation) — not the bare entity — so one cache can
 /// be reused across relations without serving stale scores.
 ///
-/// Two usage modes:
-///  - On-demand: ObjectsEntry / SubjectsEntry compute-and-cache on miss.
-///    Single-threaded only.
-///  - Precomputed: PrecomputeObjects / PrecomputeSubjects build the entries
-///    for a key list up front, scoring kernels::kQueryBlock keys per call
-///    through the model's batch API (ScoreObjectsBatch / ScoreSubjectsBatch)
-///    and fanning the blocks out on a ThreadPool. Afterwards FindObjects /
-///    FindSubjects are read-only and safe to call from many threads
-///    concurrently.
+/// PrecomputeObjects / PrecomputeSubjects build the entries for a key list
+/// up front, scoring kernels::kQueryBlock keys per call through the model's
+/// batch API (ScoreObjectsBatch / ScoreSubjectsBatch) and fanning the
+/// blocks out on a ThreadPool. Afterwards FindObjects / FindSubjects are
+/// read-only and safe to call from many threads concurrently.
 class SideScoreCache {
  public:
   struct Entry {
@@ -41,14 +37,6 @@ class SideScoreCache {
   /// (entity, relation) pairs addressing object-side entries via the
   /// subject, or subject-side entries via the object.
   using Key = std::pair<EntityId, RelationId>;
-
-  /// Scores of (s, r, o') for all o', computing on miss.
-  const Entry& ObjectsEntry(const Model& model, const TripleStore& kg,
-                            EntityId s, RelationId r, bool filtered);
-
-  /// Scores of (s', r, o) for all s', computing on miss.
-  const Entry& SubjectsEntry(const Model& model, const TripleStore& kg,
-                             RelationId r, EntityId o, bool filtered);
 
   /// Builds the object-side entries for `keys` ((subject, relation) pairs),
   /// skipping keys already cached; the scoring passes run on `pool`
@@ -79,9 +67,6 @@ class SideScoreCache {
 
   void Clear();
 
-  /// On-demand lookup accounting (Precompute* counts neither).
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
   size_t num_object_entries() const { return by_subject_.size(); }
   size_t num_subject_entries() const { return by_object_.size(); }
 
@@ -89,18 +74,12 @@ class SideScoreCache {
   static uint64_t PackKey(EntityId e, RelationId r) {
     return (static_cast<uint64_t>(r) << 32) | static_cast<uint64_t>(e);
   }
-  static Entry MakeObjectsEntry(const Model& model, const TripleStore& kg,
-                                EntityId s, RelationId r, bool filtered);
-  static Entry MakeSubjectsEntry(const Model& model, const TripleStore& kg,
-                                 RelationId r, EntityId o, bool filtered);
 
   /// Object-side entries keyed by (subject, relation) and subject-side
   /// entries keyed by (object, relation). unordered_map references stay
   /// valid across inserts, which FindObjects/FindSubjects rely on.
   std::unordered_map<uint64_t, Entry> by_subject_;
   std::unordered_map<uint64_t, Entry> by_object_;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
 };
 
 }  // namespace kgfd

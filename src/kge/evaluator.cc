@@ -1,6 +1,8 @@
 #include "kge/evaluator.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -44,6 +46,80 @@ double RankAgainstScores(const std::vector<double>& scores, size_t target,
   }
   return 1.0 + static_cast<double>(greater) +
          static_cast<double>(ties) / 2.0;
+}
+
+namespace {
+
+/// Index of the first of the n ascending `sorted` scores that is not below
+/// `v`; n when v is above them all, and 0 when v is NaN. Branch-free, since
+/// which way each step goes is a coin flip on real score vectors.
+size_t LowerBound(const double* sorted, size_t n, double v) {
+  const double* base = sorted;
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = base[half] < v ? base + half : base;
+    n -= half;
+  }
+  return static_cast<size_t>(base - sorted) + (*base < v ? 1 : 0);
+}
+
+}  // namespace
+
+void RankTargetsAgainstScores(const std::vector<double>& scores,
+                              const std::vector<char>* excluded,
+                              const std::vector<size_t>& targets,
+                              std::vector<double>* ranks,
+                              RankScratch* scratch) {
+  ranks->assign(targets.size(), 1.0);  // a NaN target compares to nothing
+  std::vector<double>& sorted = scratch->sorted;
+  sorted.clear();
+  for (size_t target : targets) {
+    if (!std::isnan(scores[target])) sorted.push_back(scores[target]);
+  }
+  if (sorted.empty()) return;
+  std::sort(sorted.begin(), sorted.end());
+  // == merges -0.0 with 0.0, exactly as the reference's comparisons do.
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  const size_t n = sorted.size();
+  // Sentinel: the tie probe at index n (a competitor above every target)
+  // never matches.
+  sorted.push_back(std::numeric_limits<double>::quiet_NaN());
+  const double* s = sorted.data();
+  const double lowest = s[0];
+  // above[p] counts competitors whose lower bound is p, i.e. that lie above
+  // sorted[0..p-1]; ties[p] those equal to sorted[p].
+  std::vector<uint32_t>& above = scratch->above;
+  std::vector<uint32_t>& ties = scratch->ties;
+  above.assign(n + 1, 0);
+  ties.assign(n + 1, 0);
+  const char* mask = excluded != nullptr ? excluded->data() : nullptr;
+  for (size_t i = 0; i < scores.size(); ++i) {
+    const double v = scores[i];
+    // Below every target (or NaN): greater than none of them, equal to none.
+    if (!(v >= lowest)) continue;
+    if (mask != nullptr && mask[i] != 0) continue;
+    const size_t p = LowerBound(s, n, v);
+    ++above[p];
+    ties[p] += s[p] == v ? 1 : 0;
+  }
+  // Suffix sums turn above[] into the number of competitors greater than
+  // each sorted score.
+  uint32_t running = 0;
+  for (size_t p = n + 1; p-- > 0;) {
+    const uint32_t here = above[p];
+    above[p] = running;
+    running += here;
+  }
+  for (size_t j = 0; j < targets.size(); ++j) {
+    const double v = scores[targets[j]];
+    if (std::isnan(v)) continue;
+    const size_t q = LowerBound(s, n, v);
+    // The pass counted the target as its own tie unless it is excluded.
+    const bool counted = mask == nullptr || mask[targets[j]] == 0;
+    const uint32_t own_ties = ties[q] - (counted ? 1 : 0);
+    (*ranks)[j] = 1.0 + static_cast<double>(above[q]) +
+                  static_cast<double>(own_ties) / 2.0;
+  }
 }
 
 namespace {

@@ -1,6 +1,7 @@
 #ifndef KGFD_KGE_EVALUATOR_H_
 #define KGFD_KGE_EVALUATOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "kg/dataset.h"
@@ -30,6 +31,28 @@ LinkPredictionMetrics MetricsFromRanks(const std::vector<double>& ranks);
 /// of LibKGE ("rank mean").
 double RankAgainstScores(const std::vector<double>& scores, size_t target,
                          const std::vector<char>* excluded);
+
+/// Reusable buffers for RankTargetsAgainstScores, so a loop over many score
+/// vectors allocates once.
+struct RankScratch {
+  std::vector<double> sorted;
+  std::vector<uint32_t> above;
+  std::vector<uint32_t> ties;
+};
+
+/// (*ranks)[j] = RankAgainstScores(scores, targets[j], excluded) for every
+/// j, counted for all k targets in one pass over `scores`: the distinct
+/// non-NaN target scores are sorted, and each competitor that is neither
+/// excluded nor NaN is binary-searched into them. That costs
+/// O(|scores| log k + k log k) instead of k linear scans. The counts are
+/// integers, so every rank is bit-identical to RankAgainstScores; a NaN
+/// target keeps rank 1, and a target still competes for the other targets
+/// unless it is excluded.
+void RankTargetsAgainstScores(const std::vector<double>& scores,
+                              const std::vector<char>* excluded,
+                              const std::vector<size_t>& targets,
+                              std::vector<double>* ranks,
+                              RankScratch* scratch);
 
 class MetricsRegistry;
 

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
 #include <cstring>
@@ -16,6 +15,7 @@
 #include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -89,8 +89,7 @@ class AdaptiveResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FailPoints::Instance().Reset();
-    dir_ = ::testing::TempDir() + "/kgfd_adaptive_test_" +
-           std::to_string(::getpid());
+    dir_ = ScratchPath("resume");
     std::filesystem::create_directories(dir_);
     manifest_ = dir_ + "/resume.manifest";
   }

@@ -143,8 +143,9 @@ TEST(BanditSchedulerTest, RankingSecondsNeverInfluenceAllocation) {
     while (!scheduler.Done()) {
       const auto plan = scheduler.NextRound();
       sequence.push_back(plan.arm);
+      ++i;
       scheduler.Report(plan, plan.quota, (i * 3) % (plan.quota + 1),
-                       cost_scale * static_cast<double>(++i));
+                       cost_scale * static_cast<double>(i));
     }
     return sequence;
   };
@@ -209,7 +210,9 @@ TEST(BanditSchedulerTest, RecordsRoundsBudgetRewardAndCostMetrics) {
     // Cost histograms carry the ranking seconds handed to Report.
     HistogramMetric* cost =
         metrics.GetHistogram(kAdaptiveCostPrefix + name);
-    if (cost->total_count() > 0) EXPECT_DOUBLE_EQ(cost->max(), 0.25);
+    if (cost->total_count() > 0) {
+      EXPECT_DOUBLE_EQ(cost->max(), 0.25);
+    }
   }
   EXPECT_EQ(budget_total, 80u);
   EXPECT_EQ(reward_observations, rounds);

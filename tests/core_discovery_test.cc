@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "kg/synthetic.h"
+#include "kge/evaluator.h"
 #include "kge/trainer.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
@@ -529,6 +530,95 @@ TEST(DiscoverFactsTest, UnfilteredRankingIsHarsherOrEqual) {
   ASSERT_TRUE(fr.ok() && rr.ok());
   // Same candidates (same seed); raw ranking can only add competitors.
   EXPECT_GE(fr.value().facts.size(), rr.value().facts.size());
+}
+
+/// Scores that tie in pairs of objects (2m, 2m + 1) and in triples of
+/// subjects (3m .. 3m + 2), so candidates sharing a side entry have tied
+/// targets.
+class TiedScoreModel : public Model {
+ public:
+  TiedScoreModel(size_t entities, size_t relations)
+      : entities_(entities), relations_(relations), dummy_(1, 1) {}
+
+  ModelKind kind() const override { return ModelKind::kDistMult; }
+  size_t num_entities() const override { return entities_; }
+  size_t num_relations() const override { return relations_; }
+  size_t embedding_dim() const override { return 1; }
+
+  double Score(const Triple& t) const override {
+    return static_cast<double>(t.object / 2) +
+           static_cast<double>(t.subject / 3);
+  }
+  void ScoreObjects(EntityId s, RelationId r,
+                    std::vector<double>* out) const override {
+    out->resize(entities_);
+    for (EntityId o = 0; o < entities_; ++o) (*out)[o] = Score({s, r, o});
+  }
+  void ScoreSubjects(RelationId r, EntityId o,
+                     std::vector<double>* out) const override {
+    out->resize(entities_);
+    for (EntityId s = 0; s < entities_; ++s) (*out)[s] = Score({s, r, o});
+  }
+  void AccumulateScoreGradient(const Triple&, double,
+                               GradientBatch*) override {}
+  std::vector<NamedTensor> Parameters() override {
+    return {{"dummy", &dummy_}};
+  }
+  void InitParameters(Rng*) override {}
+
+ private:
+  size_t entities_;
+  size_t relations_;
+  Tensor dummy_;
+};
+
+TEST(DiscoverFactsTest, TiedTargetsOfOneEntryRankLikeTheReference) {
+  constexpr size_t kEntities = 24;
+  TripleStore kg(kEntities, 1);
+  for (EntityId e = 0; e < kEntities; ++e) {
+    ASSERT_TRUE(kg.Add({e, 0, (e * 7 + 3) % kEntities}).ok());
+  }
+  TiedScoreModel model(kEntities, 1);
+  DiscoveryOptions o;
+  o.strategy = SamplingStrategy::kUniformRandom;
+  o.max_candidates = 200;
+  o.top_n = 1000;  // every candidate becomes a fact
+  o.seed = 5;
+  auto serial = DiscoverFacts(model, kg, o);
+  ThreadPool pool(4);
+  auto parallel = DiscoverFacts(model, kg, o, &pool);
+  ASSERT_TRUE(serial.ok() && parallel.ok());
+  const std::vector<DiscoveredFact>& facts = serial.value().facts;
+  ASSERT_EQ(facts.size(), serial.value().stats.num_candidates);
+  ASSERT_EQ(facts.size(), parallel.value().facts.size());
+
+  size_t tied_pairs = 0;
+  std::vector<double> scores;
+  std::vector<char> excluded;
+  for (size_t i = 0; i < facts.size(); ++i) {
+    const Triple& t = facts[i].triple;
+    model.ScoreObjects(t.subject, 0, &scores);
+    excluded.assign(kEntities, 0);
+    for (EntityId other : kg.ObjectsOf(t.subject, 0)) excluded[other] = 1;
+    EXPECT_EQ(facts[i].object_rank,
+              RankAgainstScores(scores, t.object, &excluded));
+    model.ScoreSubjects(0, t.object, &scores);
+    excluded.assign(kEntities, 0);
+    for (EntityId other : kg.SubjectsOf(0, t.object)) excluded[other] = 1;
+    EXPECT_EQ(facts[i].subject_rank,
+              RankAgainstScores(scores, t.subject, &excluded));
+    EXPECT_EQ(facts[i].triple, parallel.value().facts[i].triple);
+    EXPECT_EQ(facts[i].rank, parallel.value().facts[i].rank);
+    for (size_t j = i + 1; j < facts.size(); ++j) {
+      const Triple& u = facts[j].triple;
+      if (u.subject == t.subject && u.object / 2 == t.object / 2) {
+        ++tied_pairs;
+      }
+    }
+  }
+  // The case is only meaningful if some (s, r) entry ranked two candidates
+  // with tied targets.
+  EXPECT_GT(tied_pairs, 0u);
 }
 
 }  // namespace

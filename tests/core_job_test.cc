@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "util/config_file.h"
 
 namespace kgfd {
@@ -44,6 +47,21 @@ TEST(ConfigFileTest, TypedGettersValidate) {
   EXPECT_TRUE(config.value().GetBool("flag", false).value());
   EXPECT_FALSE(config.value().GetInt("bad", 0).ok());
   EXPECT_FALSE(config.value().GetBool("bad", false).ok());
+}
+
+TEST(ConfigFileTest, GetIntRejectsOutOfRangeInsteadOfClamping) {
+  auto config = ConfigFile::Parse(
+      "max = 9223372036854775807\nmin = -9223372036854775808\n"
+      "over = 9223372036854775808\nunder = -9223372036854775809\n");
+  ASSERT_TRUE(config.ok());
+  EXPECT_EQ(config.value().GetInt("max", 0).value(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(config.value().GetInt("min", 0).value(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(config.value().GetInt("over", 0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(config.value().GetInt("under", 0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ConfigFileTest, DefaultsForMissingKeys) {

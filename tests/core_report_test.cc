@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "kg/relation_stats.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -46,7 +47,7 @@ TEST(FactsTsvTest, RoundTripsWithNames) {
   relations.AddOrGet("knows");
   const std::vector<DiscoveredFact> facts = {MakeFact(0, 0, 1, 3.5),
                                              MakeFact(1, 0, 0, 12.0)};
-  const std::string path = ::testing::TempDir() + "/kgfd_facts_test.tsv";
+  const std::string path = ScratchPath("facts.tsv");
   ASSERT_TRUE(WriteFactsTsv(path, facts, entities, relations).ok());
 
   Vocabulary e2, r2;
@@ -61,7 +62,7 @@ TEST(FactsTsvTest, RoundTripsWithNames) {
 }
 
 TEST(FactsTsvTest, ReadRejectsMalformedRows) {
-  const std::string path = ::testing::TempDir() + "/kgfd_bad_facts.tsv";
+  const std::string path = ScratchPath("bad_facts.tsv");
   {
     std::ofstream out(path);
     out << "a\tr\tb\n";  // missing rank column

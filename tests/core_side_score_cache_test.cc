@@ -53,16 +53,16 @@ class CountingModel : public Model {
   Tensor dummy_;
 };
 
-TEST(SideScoreCacheTest, OnDemandCachesByKey) {
+TEST(SideScoreCacheTest, PrecomputeCachesByKey) {
   CountingModel model(6, 2);
   TripleStore kg(6, 2);
   SideScoreCache cache;
-  const auto& a = cache.ObjectsEntry(model, kg, 1, 0, false);
-  const auto& b = cache.ObjectsEntry(model, kg, 1, 0, false);
-  EXPECT_EQ(&a, &b);
+  EXPECT_EQ(cache.PrecomputeObjects(model, kg, {{1, 0}}, false, nullptr), 1u);
+  const SideScoreCache::Entry* a = cache.FindObjects(1, 0);
+  EXPECT_EQ(cache.PrecomputeObjects(model, kg, {{1, 0}}, false, nullptr), 0u);
+  EXPECT_EQ(cache.FindObjects(1, 0), a);
   EXPECT_EQ(model.object_passes.load(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.num_object_entries(), 1u);
 }
 
 TEST(SideScoreCacheTest, KeyedOnEntityAndRelation) {
@@ -71,18 +71,24 @@ TEST(SideScoreCacheTest, KeyedOnEntityAndRelation) {
   CountingModel model(6, 2);
   TripleStore kg(6, 2);
   SideScoreCache cache;
-  const auto& r0 = cache.ObjectsEntry(model, kg, 1, 0, false);
-  const auto& r1 = cache.ObjectsEntry(model, kg, 1, 1, false);
-  EXPECT_NE(&r0, &r1);
+  cache.PrecomputeObjects(model, kg, {{1, 0}, {1, 1}}, false, nullptr);
+  const SideScoreCache::Entry* r0 = cache.FindObjects(1, 0);
+  const SideScoreCache::Entry* r1 = cache.FindObjects(1, 1);
+  ASSERT_NE(r0, nullptr);
+  ASSERT_NE(r1, nullptr);
+  EXPECT_NE(r0, r1);
   EXPECT_EQ(model.object_passes.load(), 2u);
   // Scores actually reflect each entry's relation.
-  EXPECT_DOUBLE_EQ(r0.scores[3], model.Score({1, 0, 3}));
-  EXPECT_DOUBLE_EQ(r1.scores[3], model.Score({1, 1, 3}));
-  // Same story on the subject side.
-  const auto& s0 = cache.SubjectsEntry(model, kg, 0, 2, false);
-  const auto& s1 = cache.SubjectsEntry(model, kg, 1, 2, false);
-  EXPECT_DOUBLE_EQ(s0.scores[4], model.Score({4, 0, 2}));
-  EXPECT_DOUBLE_EQ(s1.scores[4], model.Score({4, 1, 2}));
+  EXPECT_DOUBLE_EQ(r0->scores[3], model.Score({1, 0, 3}));
+  EXPECT_DOUBLE_EQ(r1->scores[3], model.Score({1, 1, 3}));
+  // Same story on the subject side; its keys are (object, relation).
+  cache.PrecomputeSubjects(model, kg, {{2, 0}, {2, 1}}, false, nullptr);
+  const SideScoreCache::Entry* s0 = cache.FindSubjects(0, 2);
+  const SideScoreCache::Entry* s1 = cache.FindSubjects(1, 2);
+  ASSERT_NE(s0, nullptr);
+  ASSERT_NE(s1, nullptr);
+  EXPECT_DOUBLE_EQ(s0->scores[4], model.Score({4, 0, 2}));
+  EXPECT_DOUBLE_EQ(s1->scores[4], model.Score({4, 1, 2}));
 }
 
 TEST(SideScoreCacheTest, FilteredEntriesMarkKnownTriples) {
@@ -90,18 +96,25 @@ TEST(SideScoreCacheTest, FilteredEntriesMarkKnownTriples) {
   TripleStore kg(6, 1);
   ASSERT_TRUE(kg.AddAll({{1, 0, 2}, {1, 0, 4}}).ok());
   SideScoreCache cache;
-  const auto& entry = cache.ObjectsEntry(model, kg, 1, 0, true);
-  EXPECT_EQ(entry.excluded[2], 1);
-  EXPECT_EQ(entry.excluded[4], 1);
-  EXPECT_EQ(entry.excluded[3], 0);
+  cache.PrecomputeObjects(model, kg, {{1, 0}}, true, nullptr);
+  const SideScoreCache::Entry* entry = cache.FindObjects(1, 0);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->excluded[2], 1);
+  EXPECT_EQ(entry->excluded[4], 1);
+  EXPECT_EQ(entry->excluded[3], 0);
+  // Unfiltered entries exclude nothing.
+  cache.Clear();
+  cache.PrecomputeObjects(model, kg, {{1, 0}}, false, nullptr);
+  EXPECT_EQ(cache.FindObjects(1, 0)->excluded,
+            std::vector<char>(6, 0));
 }
 
-TEST(SideScoreCacheTest, PrecomputeMatchesOnDemandAndDedups) {
+TEST(SideScoreCacheTest, PrecomputeMatchesDirectScoringAndDedups) {
   CountingModel model(8, 2);
   TripleStore kg(8, 2);
   ASSERT_TRUE(kg.Add({0, 1, 5}).ok());
-  SideScoreCache on_demand;
-  const auto& want = on_demand.ObjectsEntry(model, kg, 0, 1, true);
+  std::vector<double> want;
+  model.ScoreObjects(0, 1, &want);
 
   SideScoreCache cache;
   ThreadPool pool(4);
@@ -116,8 +129,10 @@ TEST(SideScoreCacheTest, PrecomputeMatchesOnDemandAndDedups) {
 
   const SideScoreCache::Entry* got = cache.FindObjects(0, 1);
   ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->scores, want.scores);
-  EXPECT_EQ(got->excluded, want.excluded);
+  EXPECT_EQ(got->scores, want);
+  std::vector<char> want_excluded(8, 0);
+  want_excluded[5] = 1;  // (0, 1, 5) is a known triple
+  EXPECT_EQ(got->excluded, want_excluded);
   EXPECT_EQ(cache.FindObjects(4, 1), nullptr);
 
   model.subject_passes.store(0);
@@ -133,10 +148,10 @@ TEST(SideScoreCacheTest, ClearForgetsEntries) {
   CountingModel model(4, 1);
   TripleStore kg(4, 1);
   SideScoreCache cache;
-  cache.ObjectsEntry(model, kg, 0, 0, false);
+  cache.PrecomputeObjects(model, kg, {{0, 0}}, false, nullptr);
   cache.Clear();
   EXPECT_EQ(cache.FindObjects(0, 0), nullptr);
-  cache.ObjectsEntry(model, kg, 0, 0, false);
+  cache.PrecomputeObjects(model, kg, {{0, 0}}, false, nullptr);
   EXPECT_EQ(model.object_passes.load(), 2u);
 }
 

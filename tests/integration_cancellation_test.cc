@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <csignal>
 #include <cstring>
@@ -19,6 +18,7 @@
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -32,10 +32,7 @@ class CancellationTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FailPoints::Instance().Reset();
-    // Process-unique: ctest runs each TEST as its own process in parallel,
-    // and a shared directory would let one test's remove_all race another.
-    dir_ = ::testing::TempDir() + "/kgfd_cancel_test_" +
-           std::to_string(::getpid());
+    dir_ = ScratchPath("resume");
     std::filesystem::create_directories(dir_);
     manifest_ = dir_ + "/resume.manifest";
     std::filesystem::remove(manifest_);

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "kgfd.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -87,7 +88,7 @@ class QuantDriftTest : public ::testing::Test {
     tc.seed = 99;
     auto model = TrainModel(ModelKind::kTransE, mc, dataset_->train(), tc);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
-    float_path_ = ::testing::TempDir() + "/kgfd_drift_float.bin";
+    float_path_ = ScratchPath("float.bin");
     ASSERT_TRUE(SaveModel(model.value().get(), mc, float_path_).ok());
   }
   void TearDown() override { std::remove(float_path_.c_str()); }
@@ -107,8 +108,8 @@ class QuantDriftTest : public ::testing::Test {
     double mrr = 0.0;
   };
   QuantRun RunQuantized(EmbeddingDtype dtype) {
-    const std::string qpath = ::testing::TempDir() + "/kgfd_drift_" +
-                              EmbeddingDtypeName(dtype) + ".bin";
+    const std::string qpath =
+        ScratchPath(std::string(EmbeddingDtypeName(dtype)) + ".bin");
     auto loaded =
         LoadModelWithConfig(float_path_, CheckpointLoadOptions());
     EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -188,8 +189,7 @@ TEST_F(QuantDriftTest, QuantizedDriftWithinPinnedThresholds) {
 }
 
 TEST_F(QuantDriftTest, QuantizedMmapDiscoveryMatchesQuantizedRam) {
-  const std::string qpath =
-      ::testing::TempDir() + "/kgfd_drift_mmap_int8.bin";
+  const std::string qpath = ScratchPath("mmap_int8.bin");
   auto loaded = LoadModelWithConfig(float_path_, CheckpointLoadOptions());
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(SaveQuantizedModel(loaded.value().model.get(),

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -19,6 +18,7 @@
 #include "server/job_manager.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -36,8 +36,9 @@ struct DiskFixture {
 const DiskFixture& SharedDiskFixture() {
   static DiskFixture* fixture = [] {
     auto f = new DiskFixture();
-    f->root = ::testing::TempDir() + "/kgfd_recovery_test_" +
-              std::to_string(::getpid());
+    // Shared by every test of the process; removed at exit.
+    static const ScratchDir root("fixture");
+    f->root = root.path();
     f->data_dir = f->root + "/data";
     f->checkpoint = f->root + "/model.bin";
     std::filesystem::create_directories(f->data_dir);
@@ -139,10 +140,7 @@ class RecoveryTest : public ::testing::Test {
     FailPoints::Instance().Reset();
     // Pin the reference before any test arms a failpoint.
     ASSERT_FALSE(ReferenceFactsTsv().empty());
-    work_dir_ =
-        ::testing::TempDir() + "/kgfd_recovery_jobs_" +
-        std::to_string(::getpid()) + "_" +
-        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    work_dir_ = ScratchPath("jobs");
     std::filesystem::remove_all(work_dir_);
     pool_ = std::make_unique<ThreadPool>(4);
     metrics_ = std::make_unique<MetricsRegistry>();

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstring>
 #include <filesystem>
@@ -14,6 +13,7 @@
 #include "kge/trainer.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -25,10 +25,7 @@ class ResumeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FailPoints::Instance().Reset();
-    // Process-unique: ctest runs each TEST as its own process in parallel,
-    // and a shared directory would let one test's remove_all race another.
-    dir_ = ::testing::TempDir() + "/kgfd_resume_test_" +
-           std::to_string(::getpid());
+    dir_ = ScratchPath("resume");
     std::filesystem::create_directories(dir_);
     manifest_ = dir_ + "/resume.manifest";
   }

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
@@ -26,6 +25,7 @@
 #include "util/config_file.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -44,8 +44,9 @@ struct DiskFixture {
 const DiskFixture& SharedDiskFixture() {
   static DiskFixture* fixture = [] {
     auto f = new DiskFixture();
-    f->root = ::testing::TempDir() + "/kgfd_server_test_" +
-              std::to_string(::getpid());
+    // Shared by every test of the process; removed at exit.
+    static const ScratchDir root("fixture");
+    f->root = root.path();
     f->data_dir = f->root + "/data";
     f->checkpoint = f->root + "/model.bin";
     std::filesystem::create_directories(f->data_dir);
@@ -95,9 +96,7 @@ class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FailPoints::Instance().Reset();
-    work_dir_ = ::testing::TempDir() + "/kgfd_server_jobs_" +
-                std::to_string(::getpid()) + "_" +
-                ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    work_dir_ = ScratchPath("jobs");
     std::filesystem::remove_all(work_dir_);
   }
 
@@ -378,6 +377,18 @@ TEST_F(ServerTest, PerJobDeadlineStopsTheSweep) {
   auto facts = HttpGet(kHost, port_, "/jobs/" + id + "/facts");
   ASSERT_TRUE(facts.ok());
   EXPECT_EQ(facts.value().status_code, 200);
+}
+
+TEST_F(ServerTest, SeedPastInt64IsRejectedNotClamped) {
+  StartServer();
+  // 2^63 used to parse as 2^63 - 1 and run with that seed.
+  auto response =
+      HttpFetch(kHost, port_, "POST", "/jobs",
+                JobConfig("discovery.seed = 9223372036854775808\n"));
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.value().status_code, 400);
+  EXPECT_NE(response.value().body.find("discovery.seed"), std::string::npos)
+      << response.value().body;
 }
 
 TEST_F(ServerTest, ApiErrorsUseTheRightStatusCodes) {

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "kgfd.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -121,7 +122,7 @@ TEST_F(EndToEndTest, CheckpointPreservesDiscoveryOutput) {
   auto before = DiscoverFacts(*model_, dataset_->train(), o);
   ASSERT_TRUE(before.ok());
 
-  const std::string path = ::testing::TempDir() + "/kgfd_e2e_ckpt.bin";
+  const std::string path = ScratchPath("ckpt.bin");
   ModelConfig mc;
   mc.num_entities = dataset_->num_entities();
   mc.num_relations = dataset_->num_relations();

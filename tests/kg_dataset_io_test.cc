@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -7,6 +6,7 @@
 
 #include "kg/dataset.h"
 #include "kg/io.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -14,10 +14,7 @@ namespace {
 class DatasetIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Process-unique: ctest runs each TEST as its own process in parallel,
-    // and a shared directory would let one test's remove_all race another.
-    dir_ = ::testing::TempDir() + "/kgfd_io_test_" +
-           std::to_string(::getpid());
+    dir_ = ScratchPath("io");
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

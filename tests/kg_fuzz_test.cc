@@ -10,6 +10,7 @@
 #include "kg/io.h"
 #include "kg/triple_store.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -111,8 +112,7 @@ INSTANTIATE_TEST_SUITE_P(
 class TsvParserFuzzTest : public ::testing::Test {
  protected:
   Result<std::vector<Triple>> Parse(const std::string& content) {
-    const std::string path =
-        ::testing::TempDir() + "/tsv_fuzz_input.tsv";
+    const std::string path = scratch_.File("input.tsv");
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(content.data(),
@@ -122,6 +122,8 @@ class TsvParserFuzzTest : public ::testing::Test {
     relations_ = Vocabulary();
     return ReadTriplesTsv(path, &entities_, &relations_);
   }
+
+  ScratchDir scratch_;
 
   Vocabulary entities_;
   Vocabulary relations_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 #include "graph/adjacency.h"
@@ -9,6 +10,14 @@
 #include "kg/kg_stats.h"
 
 namespace kgfd {
+
+// gtest prints a value parameter into the test name. Print a preset by its
+// name: the default byte dump includes the address of `name`'s buffer, which
+// would give the preset tests a different name on every build.
+void PrintTo(const SyntheticConfig& config, std::ostream* os) {
+  *os << config.name;
+}
+
 namespace {
 
 TEST(SyntheticTest, RejectsDegenerateConfigs) {

@@ -10,6 +10,7 @@
 
 #include "util/crc32.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -17,8 +18,7 @@ namespace {
 class CheckpointTest : public ::testing::TestWithParam<ModelKind> {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/kgfd_ckpt_" +
-            ModelKindName(GetParam()) + ".bin";
+    path_ = ScratchPath("ckpt.bin");
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -97,7 +97,7 @@ TEST(CheckpointErrorTest, MissingFileIsIoError) {
 }
 
 TEST(CheckpointErrorTest, GarbageFileRejected) {
-  const std::string path = ::testing::TempDir() + "/kgfd_garbage.bin";
+  const std::string path = ScratchPath("garbage.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a checkpoint at all, not even close";
@@ -115,7 +115,7 @@ TEST(CheckpointErrorTest, TruncatedFileRejected) {
   config.embedding_dim = 8;
   auto model = std::move(CreateModel(ModelKind::kDistMult, config, &rng))
                    .ValueOrDie("create");
-  const std::string path = ::testing::TempDir() + "/kgfd_truncated.bin";
+  const std::string path = ScratchPath("truncated.bin");
   ASSERT_TRUE(SaveModel(model.get(), config, path).ok());
   // Truncate to half.
   const auto size = std::filesystem::file_size(path);
@@ -132,7 +132,7 @@ TEST(CheckpointErrorTest, EveryTruncationPrefixRejected) {
   config.embedding_dim = 8;
   auto model = std::move(CreateModel(ModelKind::kDistMult, config, &rng))
                    .ValueOrDie("create");
-  const std::string path = ::testing::TempDir() + "/kgfd_prefix.bin";
+  const std::string path = ScratchPath("prefix.bin");
   ASSERT_TRUE(SaveModel(model.get(), config, path).ok());
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -155,7 +155,7 @@ TEST(CheckpointErrorTest, EverySingleBitFlipRejected) {
   config.embedding_dim = 4;
   auto model = std::move(CreateModel(ModelKind::kTransE, config, &rng))
                    .ValueOrDie("create");
-  const std::string path = ::testing::TempDir() + "/kgfd_bitflip.bin";
+  const std::string path = ScratchPath("bitflip.bin");
   ASSERT_TRUE(SaveModel(model.get(), config, path).ok());
   std::ifstream in(path, std::ios::binary);
   const std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -188,7 +188,7 @@ TEST(CheckpointErrorTest, ChecksumMismatchIsDescriptive) {
   config.embedding_dim = 4;
   auto model = std::move(CreateModel(ModelKind::kDistMult, config, &rng))
                    .ValueOrDie("create");
-  const std::string path = ::testing::TempDir() + "/kgfd_crcmsg.bin";
+  const std::string path = ScratchPath("crcmsg.bin");
   ASSERT_TRUE(SaveModel(model.get(), config, path).ok());
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -218,7 +218,7 @@ TEST(CheckpointErrorTest, InvalidConfigInsideCheckpointSurfacesStatus) {
   config.embedding_dim = 6;  // even: valid for ComplEx at save time
   auto model = std::move(CreateModel(ModelKind::kComplEx, config, &rng))
                    .ValueOrDie("create");
-  const std::string path = ::testing::TempDir() + "/kgfd_badcfg.bin";
+  const std::string path = ScratchPath("badcfg.bin");
   ASSERT_TRUE(SaveModel(model.get(), config, path).ok());
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),

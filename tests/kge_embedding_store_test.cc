@@ -14,6 +14,7 @@
 
 #include "kge/tensor.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -208,7 +209,7 @@ TEST(EmbeddingBackendTest, EnvResolution) {
 TEST(MmapFileTest, MissingAndEmptyFilesAreIoErrors) {
   EXPECT_EQ(MmapFile::Open("/nonexistent/kgfd.bin").status().code(),
             StatusCode::kIoError);
-  const std::string path = ::testing::TempDir() + "/kgfd_empty_mmap.bin";
+  const std::string path = ScratchPath("empty.bin");
   { std::ofstream out(path, std::ios::binary); }
   auto result = MmapFile::Open(path);
   ASSERT_FALSE(result.ok());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <limits>
 #include <memory>
 
 #include "kge/trainer.h"
@@ -50,6 +52,52 @@ TEST(RankAgainstScoresTest, ExclusionRemovesCompetitors) {
 
 TEST(RankAgainstScoresTest, TargetNeverCompetesWithItself) {
   EXPECT_DOUBLE_EQ(RankAgainstScores({7.0}, 0, nullptr), 1.0);
+}
+
+/// Every rank equals the k = 1 reference, on score vectors built to break
+/// a batched count: repeated values, ±0.0, ±inf, NaN targets and NaN
+/// competitors, random masks that also cover targets, and duplicate
+/// targets. The length is not a multiple of 8.
+TEST(RankTargetsAgainstScoresTest,
+     MatchesRankAgainstScoresOnAdversarialInputs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0, -0.0, inf, -inf, nan, 1.5, -1.5, 0.25};
+  constexpr size_t kEntities = 1003;
+  Rng rng(20240417);
+  RankScratch scratch;  // reused across calls, as discovery reuses it
+  std::vector<double> ranks;
+  for (size_t k : {1u, 2u, 32u, 99u, 300u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> scores(kEntities);
+      for (double& v : scores) {
+        // A third special values, a third drawn from 16 levels (heavy
+        // ties), a third continuous.
+        const uint64_t kind = rng.UniformInt(3);
+        if (kind == 0) {
+          v = specials[rng.UniformInt(std::size(specials))];
+        } else if (kind == 1) {
+          v = static_cast<double>(rng.UniformInt(16)) - 8.0;
+        } else {
+          v = rng.Normal();
+        }
+      }
+      std::vector<char> excluded(kEntities, 0);
+      const double mask_rate = trial % 4 == 0 ? 0.0 : 0.1;
+      for (char& m : excluded) m = rng.Bernoulli(mask_rate) ? 1 : 0;
+      std::vector<size_t> targets(k);
+      for (size_t& t : targets) t = rng.UniformInt(kEntities);
+      excluded[targets[0]] = 1;  // a masked target
+      const std::vector<char>* mask = trial % 5 == 4 ? nullptr : &excluded;
+      RankTargetsAgainstScores(scores, mask, targets, &ranks, &scratch);
+      ASSERT_EQ(ranks.size(), k);
+      for (size_t j = 0; j < k; ++j) {
+        ASSERT_EQ(ranks[j], RankAgainstScores(scores, targets[j], mask))
+            << "k=" << k << " trial=" << trial << " target=" << targets[j]
+            << " score=" << scores[targets[j]];
+      }
+    }
+  }
 }
 
 /// A deterministic stub model whose score is a fixed function of ids, for

@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -13,6 +12,7 @@
 #include "kge/checkpoint.h"
 #include "util/crc32.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -93,8 +93,7 @@ void ExpectScoresIdentical(Model* a, Model* b, const char* what) {
 class MmapBackendTest : public ::testing::TestWithParam<ModelKind> {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/kgfd_mmap_" +
-            ModelKindName(GetParam()) + ".bin";
+    path_ = ScratchPath("ckpt.bin");
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
@@ -156,10 +155,7 @@ class QuantizedCheckpointTest
     : public ::testing::TestWithParam<std::tuple<ModelKind, EmbeddingDtype>> {
  protected:
   void SetUp() override {
-    const auto& p = GetParam();
-    path_ = ::testing::TempDir() + "/kgfd_quant_" +
-            ModelKindName(std::get<0>(p)) + "_" +
-            EmbeddingDtypeName(std::get<1>(p)) + ".bin";
+    path_ = ScratchPath("quant.bin");
   }
   void TearDown() override { std::remove(path_.c_str()); }
   std::string path_;
@@ -212,7 +208,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(QuantizedSaveTest, RejectsFloatDtypeAndUnsupportedModels) {
-  const std::string path = ::testing::TempDir() + "/kgfd_quant_reject.bin";
+  const std::string path = ScratchPath("quant_reject.bin");
   auto transe = MakeModel(ModelKind::kTransE, 84);
   EXPECT_EQ(SaveQuantizedModel(transe.get(), SmallConfig(),
                                EmbeddingDtype::kFloat32, path)
@@ -235,16 +231,8 @@ TEST(QuantizedSaveTest, RejectsFloatDtypeAndUnsupportedModels) {
 class MmapFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // ctest registers every fuzz test as its own process and runs them
-    // concurrently under -j; the scratch files must be keyed by test name
-    // (plus pid for repeat runs) or parallel entries clobber each other.
-    const std::string tag =
-        std::string(::testing::UnitTest::GetInstance()
-                        ->current_test_info()
-                        ->name()) +
-        "_" + std::to_string(::getpid());
-    path_ = ::testing::TempDir() + "/kgfd_fuzz_" + tag + ".bin";
-    victim_ = ::testing::TempDir() + "/kgfd_fuzz_victim_" + tag + ".bin";
+    path_ = ScratchPath("fuzz.bin");
+    victim_ = ScratchPath("victim.bin");
     auto model = MakeModel(ModelKind::kTransE, 86);
     ASSERT_TRUE(SaveModel(model.get(), SmallConfig(), path_).ok());
     pristine_ = ReadFile(path_);

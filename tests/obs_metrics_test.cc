@@ -11,6 +11,7 @@
 #include "obs/export.h"
 #include "obs/span.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -244,8 +245,8 @@ TEST(ExportTest, EscapedNamesSurviveTheRoundTrip) {
 TEST(ExportTest, WriteMetricsJsonFileWritesParseableJson) {
   MetricsRegistry registry;
   registry.GetCounter("file.counter")->Increment(5);
-  const std::string path =
-      ::testing::TempDir() + "/obs_metrics_test_export.json";
+  const ScratchDir dir;
+  const std::string path = dir.File("export.json");
   ASSERT_TRUE(WriteMetricsJsonFile(registry, path).ok());
   std::ifstream file(path);
   ASSERT_TRUE(file.good());

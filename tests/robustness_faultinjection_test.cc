@@ -20,6 +20,7 @@
 #include "util/failpoint.h"
 #include "util/retry.h"
 #include "util/thread_pool.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -30,6 +31,8 @@ class FailPointTest : public ::testing::Test {
  protected:
   void SetUp() override { FailPoints::Instance().Reset(); }
   void TearDown() override { FailPoints::Instance().Reset(); }
+
+  ScratchDir scratch_;
 };
 
 // ------------------------------------------------------------ spec parsing
@@ -268,8 +271,7 @@ const SeamFixture& SharedSeamFixture() {
   return *fixture;
 }
 
-std::string WriteTinyTsv(const std::string& stem) {
-  const std::string path = ::testing::TempDir() + "/" + stem + ".tsv";
+std::string WriteTinyTsv(const std::string& path) {
   std::ofstream out(path);
   out << "a\tr\tb\nb\tr\tc\n";
   return path;
@@ -277,7 +279,7 @@ std::string WriteTinyTsv(const std::string& stem) {
 
 TEST_F(FailPointTest, KgIoReadSiteTriggers) {
   FailPoints& fp = FailPoints::Instance();
-  const std::string path = WriteTinyTsv("fp_read");
+  const std::string path = WriteTinyTsv(scratch_.File("read.tsv"));
   Vocabulary entities, relations;
   ASSERT_TRUE(
       ReadTriplesTsv(path, &entities, &relations).ok());
@@ -292,7 +294,7 @@ TEST_F(FailPointTest, KgIoWriteSiteTriggers) {
   ASSERT_TRUE(fp.Enable(kFailPointKgIoWrite, "return").ok());
   Vocabulary entities, relations;
   const Status status = WriteTriplesTsv(
-      ::testing::TempDir() + "/fp_write.tsv", {}, entities, relations);
+      scratch_.File("write.tsv"), {}, entities, relations);
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_GE(fp.TriggerCount(kFailPointKgIoWrite), 1u);
 }
@@ -300,7 +302,7 @@ TEST_F(FailPointTest, KgIoWriteSiteTriggers) {
 TEST_F(FailPointTest, CheckpointSaveAndLoadSitesTrigger) {
   FailPoints& fp = FailPoints::Instance();
   const SeamFixture& f = SharedSeamFixture();
-  const std::string path = ::testing::TempDir() + "/fp_ckpt.bin";
+  const std::string path = scratch_.File("ckpt.bin");
 
   ASSERT_TRUE(fp.Enable(kFailPointCheckpointSave, "return").ok());
   EXPECT_FALSE(SaveModel(f.model.get(), f.model_config, path).ok());
@@ -375,7 +377,7 @@ TEST_F(FailPointTest, DiscoveryCancelSiteStopsGracefully) {
 
 TEST_F(FailPointTest, ResumeSaveAndLoadSitesTrigger) {
   FailPoints& fp = FailPoints::Instance();
-  const std::string path = ::testing::TempDir() + "/fp_manifest.bin";
+  const std::string path = scratch_.File("manifest.bin");
   ResumeManifest manifest;
   manifest.model_name = "TransE";
 
@@ -535,7 +537,7 @@ TEST_F(FailPointTest, RetryAbsorbsInjectedTransientFaults) {
   // rides through them — the end-to-end contract the two features exist
   // to provide.
   FailPoints& fp = FailPoints::Instance();
-  const std::string path = WriteTinyTsv("fp_retry");
+  const std::string path = WriteTinyTsv(scratch_.File("retry.tsv"));
   ASSERT_TRUE(fp.Enable(kFailPointKgIoRead, "2*return").ok());
   RetryPolicy policy;
   policy.max_attempts = 4;
@@ -554,7 +556,7 @@ TEST_F(FailPointTest, RetryAbsorbsInjectedTransientFaults) {
 TEST_F(FailPointTest, LoadDatasetDirRetriesInjectedFaults) {
   FailPoints& fp = FailPoints::Instance();
   const SeamFixture& f = SharedSeamFixture();
-  const std::string dir = ::testing::TempDir() + "/fp_dataset";
+  const std::string dir = scratch_.File("dataset");
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(SaveDatasetDir(f.dataset, dir).ok());
 
@@ -571,7 +573,6 @@ TEST_F(FailPointTest, LoadDatasetDirRetriesInjectedFaults) {
   RetryPolicy no_retry;
   no_retry.max_attempts = 1;
   EXPECT_FALSE(LoadDatasetDir(dir, "fp_dataset", no_retry).ok());
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

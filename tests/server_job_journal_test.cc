@@ -1,7 +1,6 @@
 #include "server/job_journal.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -12,6 +11,7 @@
 
 #include "util/failpoint.h"
 #include "util/rng.h"
+#include "test_scratch.h"
 
 namespace kgfd {
 namespace {
@@ -82,9 +82,7 @@ class JobJournalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FailPoints::Instance().Reset();
-    dir_ = ::testing::TempDir() + "/kgfd_journal_" +
-           std::to_string(::getpid()) + "_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = ScratchPath("journal");
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

@@ -1,4 +1,5 @@
 #include "util/table.h"
+#include "test_scratch.h"
 
 #include <gtest/gtest.h>
 
@@ -59,7 +60,7 @@ TEST(TableTest, CsvEscapesSpecialCharacters) {
 TEST(TableTest, WriteCsvRoundTrips) {
   Table t({"k", "v"});
   t.AddRow({"alpha", "1"});
-  const std::string path = ::testing::TempDir() + "/kgfd_table_test.csv";
+  const std::string path = ScratchPath("table.csv");
   ASSERT_TRUE(t.WriteCsv(path).ok());
   std::ifstream in(path);
   std::stringstream buf;
