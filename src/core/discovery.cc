@@ -70,6 +70,70 @@ size_t MeshGridSampleSize(size_t max_candidates) {
          10;
 }
 
+using WeightsEntry = DiscoveryCache::WeightsEntry;
+
+/// Seed of relation r's RNG streams: the fixed sweep draws from it
+/// directly, an adaptive sweep seeds its bandit and per-round streams
+/// from it. Independent of the relation's position in the sweep, so any
+/// thread order, and a resumed run, draws the same samples.
+uint64_t RelationSeed(uint64_t seed, RelationId r) {
+  return seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(r) + 1));
+}
+
+/// Algorithm 1 line 7 for one strategy: from `shared` when set (one
+/// computation per strategy across runs), else computed here and owned by
+/// the returned pointer.
+Result<std::shared_ptr<const WeightsEntry>> ResolveWeights(
+    SamplingStrategy strategy, const Model& model, const TripleStore& kg,
+    DiscoveryCache* shared) {
+  if (shared != nullptr) {
+    return shared->GetOrComputeWeights(strategy, kg, &model);
+  }
+  KGFD_ASSIGN_OR_RETURN(WeightsEntry entry,
+                        ComputeWeightsEntry(strategy, &model, kg));
+  return std::make_shared<const WeightsEntry>(std::move(entry));
+}
+
+/// Algorithm 1 lines 8-13 for relation r: each iteration draws
+/// MeshGridSampleSize(quota) subjects and objects from `weights` (subject
+/// then object, per sample, from `rng`) and walks their mesh grid, keeping
+/// each (s, r, o) that is not in the KG (line 12), passes `type_filter`
+/// when set, and is new to `seen` — until `quota` candidates or
+/// `max_iterations` iterations.
+std::vector<Triple> GenerateMeshGrid(const TripleStore& kg, RelationId r,
+                                     const WeightsEntry& weights,
+                                     size_t quota, size_t max_iterations,
+                                     const RelationTypeFilter* type_filter,
+                                     Rng* rng,
+                                     std::unordered_set<uint64_t>* seen) {
+  const size_t sample_size = MeshGridSampleSize(quota);
+  std::vector<Triple> candidates;
+  std::vector<EntityId> s_samples(sample_size);
+  std::vector<EntityId> o_samples(sample_size);
+  for (size_t iteration = 0;
+       iteration < max_iterations && candidates.size() < quota;
+       ++iteration) {
+    for (size_t i = 0; i < sample_size; ++i) {
+      s_samples[i] =
+          weights.weights.subject_pool[weights.subject_sampler.Sample(rng)];
+      o_samples[i] =
+          weights.weights.object_pool[weights.object_sampler.Sample(rng)];
+    }
+    for (EntityId s : s_samples) {
+      if (candidates.size() >= quota) break;
+      for (EntityId o : o_samples) {
+        if (candidates.size() >= quota) break;
+        const Triple t{s, r, o};
+        if (kg.Contains(t)) continue;
+        if (type_filter != nullptr && !type_filter->Admissible(t)) continue;
+        if (!seen->insert(PackTriple(t)).second) continue;
+        candidates.push_back(t);
+      }
+    }
+  }
+  return candidates;
+}
+
 double Aggregate(RankAggregation agg, double subject_rank,
                  double object_rank) {
   switch (agg) {
@@ -295,8 +359,6 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
   std::vector<RelationId> relations = options.relations;
   if (relations.empty()) relations = kg.UsedRelations();
 
-  const size_t sample_size = MeshGridSampleSize(options.max_candidates);
-
   WallTimer total_timer;
   MetricsRegistry* const metrics = options.metrics;
   // Resolve counters once so worker threads only pay an atomic increment.
@@ -370,98 +432,31 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
   };
 
   const bool adaptive = options.strategy == SamplingStrategy::kAdaptive;
-  const bool model_score = options.strategy == SamplingStrategy::kModelScore;
 
-  // Optional weight-caching ablation: hoist line 7 out of the loop. A
-  // shared DiscoveryCache hoists as well — it already guarantees one
-  // computation per strategy across runs, so the recompute-per-relation
-  // semantics of cache_weights=false would only repeat a cache lookup.
-  // MODEL_SCORE always hoists: its sketch depends only on (model, KG), so a
-  // per-relation recompute would repeat the probe sweep for identical
-  // weights. ADAPTIVE hoists its whole arm set below for the same reason.
-  const bool hoist_weights = options.cache_weights ||
-                             options.shared_cache != nullptr || model_score;
-  StrategyWeights hoisted_weights;
-  AliasSampler hoisted_subject_sampler;
-  AliasSampler hoisted_object_sampler;
-  // Keeps the cache entry alive for the whole sweep when the pointers below
-  // alias into it.
-  std::shared_ptr<const DiscoveryCache::WeightsEntry> shared_weights;
-  const StrategyWeights* hoisted_weights_ptr = &hoisted_weights;
-  const AliasSampler* hoisted_subject_ptr = &hoisted_subject_sampler;
-  const AliasSampler* hoisted_object_ptr = &hoisted_object_sampler;
-  double hoisted_weight_seconds = 0.0;
-  if (!adaptive && options.shared_cache != nullptr) {
-    ScopedSpan weight_span(metrics, kDiscoveryWeightsSpan);
-    KGFD_ASSIGN_OR_RETURN(
-        shared_weights,
-        model_score
-            ? options.shared_cache->GetOrComputeModelScoreWeights(model, kg)
-            : options.shared_cache->GetOrComputeWeights(options.strategy, kg));
-    hoisted_weights_ptr = &shared_weights->weights;
-    hoisted_subject_ptr = &shared_weights->subject_sampler;
-    hoisted_object_ptr = &shared_weights->object_sampler;
-    hoisted_weight_seconds = weight_span.Stop();
-  } else if (!adaptive && (options.cache_weights || model_score)) {
-    ScopedSpan weight_span(metrics, kDiscoveryWeightsSpan);
-    KGFD_ASSIGN_OR_RETURN(hoisted_weights,
-                          model_score
-                              ? ComputeModelScoreWeights(model, kg)
-                              : ComputeStrategyWeights(options.strategy, kg));
-    KGFD_ASSIGN_OR_RETURN(hoisted_subject_sampler,
-                          AliasSampler::Build(hoisted_weights.subject_weights));
-    KGFD_ASSIGN_OR_RETURN(hoisted_object_sampler,
-                          AliasSampler::Build(hoisted_weights.object_weights));
-    hoisted_weight_seconds = weight_span.Stop();
-  }
-
-  // ADAPTIVE: precompute every arm's weights + samplers once per sweep. The
-  // bandit may grant any arm any round, so all six must exist before the
-  // relation loop starts; per-relation recomputes (faithful mode) would
-  // multiply the most expensive metric sweeps by the relation count for
-  // byte-identical results. Pointers are bound in a second loop because
-  // push_back would otherwise move `owned` out from under them.
-  struct ArmState {
-    std::shared_ptr<const DiscoveryCache::WeightsEntry> shared;
-    DiscoveryCache::WeightsEntry owned;
-    const StrategyWeights* weights = nullptr;
-    const AliasSampler* subject_sampler = nullptr;
-    const AliasSampler* object_sampler = nullptr;
-  };
+  // Line 7: compute_weights(strategy) runs inside the relation loop, as
+  // published, unless it is hoisted out of it here:
+  //  * cache_weights (the weight-caching ablation) asks for the hoist;
+  //  * a shared DiscoveryCache already guarantees one computation per
+  //    strategy across runs, so a per-relation recompute would only repeat
+  //    a cache lookup;
+  //  * MODEL_SCORE's sketch depends only on (model, KG), so a per-relation
+  //    recompute would repeat the probe sweep for identical weights;
+  //  * ADAPTIVE's bandit may grant any arm any round, so every arm's weights
+  //    must exist before the relation loop starts.
+  // A fixed strategy is a one-element arm set.
+  const bool hoist_weights = adaptive || options.cache_weights ||
+                             options.shared_cache != nullptr ||
+                             options.strategy == SamplingStrategy::kModelScore;
   const std::vector<SamplingStrategy> arm_strategies =
-      adaptive ? AdaptiveArmStrategies() : std::vector<SamplingStrategy>{};
-  std::vector<ArmState> arms(arm_strategies.size());
-  if (adaptive) {
+      adaptive ? AdaptiveArmStrategies()
+               : std::vector<SamplingStrategy>{options.strategy};
+  std::vector<std::shared_ptr<const WeightsEntry>> arms(arm_strategies.size());
+  double hoisted_weight_seconds = 0.0;
+  if (hoist_weights) {
     ScopedSpan weight_span(metrics, kDiscoveryWeightsSpan);
-    for (size_t a = 0; a < arm_strategies.size(); ++a) {
-      const SamplingStrategy s = arm_strategies[a];
-      ArmState& arm = arms[a];
-      if (options.shared_cache != nullptr) {
-        KGFD_ASSIGN_OR_RETURN(
-            arm.shared,
-            s == SamplingStrategy::kModelScore
-                ? options.shared_cache->GetOrComputeModelScoreWeights(model,
-                                                                      kg)
-                : options.shared_cache->GetOrComputeWeights(s, kg));
-      } else {
-        KGFD_ASSIGN_OR_RETURN(arm.owned.weights,
-                              s == SamplingStrategy::kModelScore
-                                  ? ComputeModelScoreWeights(model, kg)
-                                  : ComputeStrategyWeights(s, kg));
-        KGFD_ASSIGN_OR_RETURN(
-            arm.owned.subject_sampler,
-            AliasSampler::Build(arm.owned.weights.subject_weights));
-        KGFD_ASSIGN_OR_RETURN(
-            arm.owned.object_sampler,
-            AliasSampler::Build(arm.owned.weights.object_weights));
-      }
-    }
-    for (ArmState& arm : arms) {
-      const DiscoveryCache::WeightsEntry& entry =
-          arm.shared != nullptr ? *arm.shared : arm.owned;
-      arm.weights = &entry.weights;
-      arm.subject_sampler = &entry.subject_sampler;
-      arm.object_sampler = &entry.object_sampler;
+    for (size_t a = 0; a < arms.size(); ++a) {
+      KGFD_ASSIGN_OR_RETURN(arms[a], ResolveWeights(arm_strategies[a], model,
+                                                    kg, options.shared_cache));
     }
     hoisted_weight_seconds = weight_span.Stop();
   }
@@ -482,97 +477,81 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
     double evaluation_seconds = 0.0;
     double weight_seconds = 0.0;
     Status status;
-    /// Set only when process_relation ran the relation to the end. A stopped
-    /// sweep treats unfinished relations as all-or-nothing: they contribute
-    /// no facts, no stats phases and no completion callback, so resuming
-    /// later regenerates their facts bit-identically from their own RNG
-    /// streams.
+    /// Set only when the relation ran to the end. A stopped sweep
+    /// treats unfinished relations as all-or-nothing: they contribute no
+    /// facts, no stats phases and no completion callback, so resuming later
+    /// regenerates their facts bit-identically from their own RNG streams.
     bool completed = false;
   };
   std::vector<RelationOutcome> outcomes(relations.size());
 
+  // Relation start, shared by the fixed and adaptive sweeps: the
+  // relation-boundary checkpoint, then a fault-injection seam — a
+  // per-relation failure (simulated I/O error, OOM, ...) aborts this
+  // relation only; completed relations keep their outcomes, which the
+  // resume layer has already persisted. False when the relation must not
+  // run.
+  auto start_relation = [&](RelationOutcome& out) {
+    if (checkpoint_stop()) return false;
+    out.status = FailPoints::Instance().Evaluate(kFailPointDiscoveryRelation);
+    return out.status.ok();
+  };
+
+  // Relation end, shared by the fixed and adaptive sweeps.
+  // `scored_candidates` and `entries` cover only the candidates this run
+  // ranked and the side entries it scored or fetched for them. Every such
+  // candidate does one lookup per side; the first toucher of each distinct
+  // entry is the miss that paid for it. Derived arithmetically so the
+  // numbers match the serial path exactly regardless of how the parallel
+  // precompute was scheduled.
+  auto finish_relation = [&](size_t index, RelationOutcome& out,
+                             size_t scored_candidates, size_t entries) {
+    if (metrics != nullptr) {
+      candidates_counter->Increment(out.num_candidates);
+      facts_counter->Increment(out.facts.size());
+      cache_misses_counter->Increment(entries);
+      cache_hits_counter->Increment(2 * scored_candidates - entries);
+      relations_counter->Increment();
+    }
+    out.completed = true;
+    if (options.on_relation_complete) {
+      RelationCompletion completion;
+      completion.relation = relations[index];
+      completion.index = index;
+      completion.num_candidates = out.num_candidates;
+      completion.facts = out.facts;  // copy: `out` still feeds the result
+      options.on_relation_complete(std::move(completion));
+    }
+  };
+
   auto process_relation = [&](size_t index) {
     const RelationId r = relations[index];
     RelationOutcome& out = outcomes[index];
-    if (checkpoint_stop()) return;  // relation-boundary checkpoint
-    // Fault-injection seam: a per-relation failure (simulated I/O error,
-    // OOM, ...) aborts this relation only; completed relations keep their
-    // outcomes, which the resume layer has already persisted.
-    out.status = FailPoints::Instance().Evaluate(kFailPointDiscoveryRelation);
-    if (!out.status.ok()) return;
-    Rng rng(options.seed ^ (0x9E3779B97F4A7C15ULL *
-                            (static_cast<uint64_t>(r) + 1)));
+    if (!start_relation(out)) return;
+    Rng rng(RelationSeed(options.seed, r));
 
-    // Line 7: compute_weights(strategy) — inside the loop, as published
-    // (unless the caching ablation hoisted it above). Timed as its own
-    // phase, disjoint from generation.
-    const StrategyWeights* weights = hoisted_weights_ptr;
-    const AliasSampler* subject_sampler = hoisted_subject_ptr;
-    const AliasSampler* object_sampler = hoisted_object_ptr;
-    StrategyWeights local_weights;
-    AliasSampler local_subject_sampler;
-    AliasSampler local_object_sampler;
+    // Line 7, unless hoisted above. Timed as its own phase, disjoint from
+    // generation.
+    std::shared_ptr<const WeightsEntry> weights = arms[0];
     if (!hoist_weights) {
       ScopedSpan weight_span(metrics, kDiscoveryWeightsSpan);
-      auto weights_or = ComputeStrategyWeights(options.strategy, kg);
-      if (!weights_or.ok()) {
-        out.status = weights_or.status();
+      auto resolved = ResolveWeights(options.strategy, model, kg, nullptr);
+      if (!resolved.ok()) {
+        out.status = resolved.status();
         return;
       }
-      local_weights = std::move(weights_or).value();
-      auto subject_or = AliasSampler::Build(local_weights.subject_weights);
-      auto object_or = AliasSampler::Build(local_weights.object_weights);
-      if (!subject_or.ok() || !object_or.ok()) {
-        out.status = subject_or.ok() ? object_or.status()
-                                     : subject_or.status();
-        return;
-      }
-      local_subject_sampler = std::move(subject_or).value();
-      local_object_sampler = std::move(object_or).value();
+      weights = std::move(resolved).value();
       out.weight_seconds = weight_span.Stop();
-      weights = &local_weights;
-      subject_sampler = &local_subject_sampler;
-      object_sampler = &local_object_sampler;
     }
 
     if (checkpoint_stop()) return;  // post-weights checkpoint
 
-    // Lines 8-13: sample, mesh-grid, filter seen, until enough candidates.
     ScopedSpan generation_span(metrics, kDiscoveryGenerationSpan);
-    std::vector<Triple> local_facts;
-    std::unordered_set<uint64_t> local_seen;
-    for (size_t iteration = 0;
-         iteration < options.max_iterations &&
-         local_facts.size() < options.max_candidates;
-         ++iteration) {
-      std::vector<EntityId> s_samples(sample_size);
-      std::vector<EntityId> o_samples(sample_size);
-      for (size_t i = 0; i < sample_size; ++i) {
-        s_samples[i] = weights->subject_pool[subject_sampler->Sample(&rng)];
-        o_samples[i] = weights->object_pool[object_sampler->Sample(&rng)];
-      }
-      for (EntityId s : s_samples) {
-        if (local_facts.size() >= options.max_candidates) break;
-        for (EntityId o : o_samples) {
-          if (local_facts.size() >= options.max_candidates) break;
-          const Triple t{s, r, o};
-          if (kg.Contains(t)) continue;  // line 12: filter seen triples
-          if (type_filter != nullptr && !type_filter->Admissible(t)) {
-            continue;
-          }
-          if (!local_seen.insert(PackTriple(t)).second) continue;
-          local_facts.push_back(t);
-        }
-      }
-    }
-    // Defensive clamp: the break conditions above already stop at
-    // max_candidates, but the downstream rank-slot allocation sizes off this
-    // list, so enforce the invariant here too rather than trust loop
-    // structure at a distance.
-    if (local_facts.size() > options.max_candidates) {
-      local_facts.resize(options.max_candidates);
-    }
-    out.num_candidates = local_facts.size();
+    std::unordered_set<uint64_t> seen;
+    const std::vector<Triple> candidates = GenerateMeshGrid(
+        kg, r, *weights, options.max_candidates, options.max_iterations,
+        type_filter.get(), &rng, &seen);
+    out.num_candidates = candidates.size();
     out.generation_seconds = generation_span.Stop();
 
     if (checkpoint_stop()) return;  // post-generation checkpoint
@@ -581,32 +560,11 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
     ScopedSpan ranking_span(metrics, kDiscoveryRankingSpan);
     SideScoreCache score_cache;
     const std::optional<size_t> entries = RankCandidates(
-        model, kg, r, local_facts, options, pool, &run_cancel,
+        model, kg, r, candidates, options, pool, &run_cancel,
         checkpoint_stop, fine_stop, &score_cache, &out.facts);
     if (!entries.has_value()) return;
     out.evaluation_seconds = ranking_span.Stop();
-
-    if (metrics != nullptr) {
-      candidates_counter->Increment(out.num_candidates);
-      facts_counter->Increment(out.facts.size());
-      // Every candidate does one lookup per side; the first toucher of each
-      // distinct entry is the miss that paid for the scoring pass. Derived
-      // arithmetically so the numbers match the serial path exactly
-      // regardless of how the parallel precompute was scheduled.
-      cache_misses_counter->Increment(*entries);
-      cache_hits_counter->Increment(2 * out.num_candidates - *entries);
-      relations_counter->Increment();
-    }
-
-    out.completed = true;
-    if (options.on_relation_complete) {
-      RelationCompletion completion;
-      completion.relation = r;
-      completion.index = index;
-      completion.num_candidates = out.num_candidates;
-      completion.facts = out.facts;  // copy: `out` still feeds the result
-      options.on_relation_complete(std::move(completion));
-    }
+    finish_relation(index, out, out.num_candidates, *entries);
   };
 
   // ADAPTIVE: the same relation contract (all-or-nothing outcome slot, own
@@ -623,13 +581,8 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
   auto process_relation_adaptive = [&](size_t index) {
     const RelationId r = relations[index];
     RelationOutcome& out = outcomes[index];
-    if (checkpoint_stop()) return;  // relation-boundary checkpoint
-    out.status = FailPoints::Instance().Evaluate(kFailPointDiscoveryRelation);
-    if (!out.status.ok()) return;
-
-    const uint64_t relation_seed =
-        options.seed ^
-        (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(r) + 1));
+    if (!start_relation(out)) return;
+    const uint64_t relation_seed = RelationSeed(options.seed, r);
 
     BanditOptions bandit_options;
     bandit_options.rounds = options.adaptive_rounds;
@@ -650,10 +603,12 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
     size_t live_candidates = 0;   // candidates scored by live rounds
     size_t unique_entries = 0;    // first-touch score entries, live rounds
 
-    // Candidate generation for one round. Deduplicates against every earlier
-    // round of this relation — the same whole-relation contract as the fixed
-    // path — so repeat draws from a favored arm keep producing fresh
-    // candidates instead of burning quota on triples an earlier round
+    // Candidate generation for one round, from the round's own RNG stream —
+    // a pure function of (seed, relation, round), so a replayed prefix
+    // leaves later rounds' streams untouched. Deduplicates against every
+    // earlier round of this relation — the same whole-relation contract as
+    // the fixed path — so repeat draws from a favored arm keep producing
+    // fresh candidates instead of burning quota on triples an earlier round
     // already ranked. The output (and the dedup set's evolution) is a pure
     // function of (seed, relation, arm sequence), never of ranking results,
     // which lets a resumed run rebuild the exact set state by regenerating
@@ -663,40 +618,9 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
       Rng round_rng(relation_seed ^
                     (0xD1B54A32D192ED03ULL *
                      (static_cast<uint64_t>(plan.round) + 1)));
-      const size_t round_sample = MeshGridSampleSize(plan.quota);
-      std::vector<Triple> round_candidates;
-      for (size_t iteration = 0;
-           iteration < options.max_iterations &&
-           round_candidates.size() < plan.quota;
-           ++iteration) {
-        std::vector<EntityId> s_samples(round_sample);
-        std::vector<EntityId> o_samples(round_sample);
-        const ArmState& arm = arms[plan.arm];
-        for (size_t i = 0; i < round_sample; ++i) {
-          s_samples[i] =
-              arm.weights
-                  ->subject_pool[arm.subject_sampler->Sample(&round_rng)];
-          o_samples[i] =
-              arm.weights->object_pool[arm.object_sampler->Sample(&round_rng)];
-        }
-        for (EntityId s : s_samples) {
-          if (round_candidates.size() >= plan.quota) break;
-          for (EntityId o : o_samples) {
-            if (round_candidates.size() >= plan.quota) break;
-            const Triple t{s, r, o};
-            if (kg.Contains(t)) continue;
-            if (type_filter != nullptr && !type_filter->Admissible(t)) {
-              continue;
-            }
-            if (!candidate_seen.insert(PackTriple(t)).second) continue;
-            round_candidates.push_back(t);
-          }
-        }
-      }
-      if (round_candidates.size() > plan.quota) {
-        round_candidates.resize(plan.quota);
-      }
-      return round_candidates;
+      return GenerateMeshGrid(kg, r, *arms[plan.arm], plan.quota,
+                              options.max_iterations, type_filter.get(),
+                              &round_rng, &candidate_seen);
     };
 
     while (!scheduler.Done()) {
@@ -749,9 +673,6 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
 
       if (checkpoint_stop()) return;  // round-boundary checkpoint
 
-      // Generation, scoped to this round's quota. The round RNG stream is a
-      // pure function of (seed, relation, round), so a replayed prefix
-      // leaves later rounds' streams untouched.
       ScopedSpan generation_span(metrics, kDiscoveryGenerationSpan);
       const std::vector<Triple> round_candidates = generate_round(plan);
       out.num_candidates += round_candidates.size();
@@ -791,26 +712,9 @@ Result<DiscoveryResult> DiscoverFacts(const Model& model,
         options.on_round_complete(std::move(completion));
       }
     }
-
-    if (metrics != nullptr) {
-      candidates_counter->Increment(out.num_candidates);
-      facts_counter->Increment(out.facts.size());
-      // Same derived arithmetic as the fixed path, over the live rounds
-      // only (replayed rounds did no scoring in this run).
-      cache_misses_counter->Increment(unique_entries);
-      cache_hits_counter->Increment(2 * live_candidates - unique_entries);
-      relations_counter->Increment();
-    }
-
-    out.completed = true;
-    if (options.on_relation_complete) {
-      RelationCompletion completion;
-      completion.relation = r;
-      completion.index = index;
-      completion.num_candidates = out.num_candidates;
-      completion.facts = out.facts;
-      options.on_relation_complete(std::move(completion));
-    }
+    // Replayed rounds did no scoring in this run, so only live rounds count
+    // towards the score-cache counters.
+    finish_relation(index, out, live_candidates, unique_entries);
   };
 
   ParallelFor(

@@ -16,54 +16,44 @@ DiscoveryCache::DiscoveryCache(MetricsRegistry* metrics) {
   }
 }
 
-Result<std::shared_ptr<const DiscoveryCache::WeightsEntry>>
-DiscoveryCache::GetOrComputeWeights(SamplingStrategy strategy,
-                                    const TripleStore& kg) {
-  const int key = static_cast<int>(strategy);
-  // Computed under the lock: concurrent relations requesting the same
-  // strategy serialize on the first computation instead of racing N copies
-  // of an expensive metric sweep, and every later caller is a pure lookup.
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = weights_.find(key);
-  if (it != weights_.end()) {
-    weights_hits_n_.fetch_add(1, std::memory_order_relaxed);
-    if (weights_hits_ != nullptr) weights_hits_->Increment();
-    return it->second;
-  }
-  if (weights_misses_ != nullptr) weights_misses_->Increment();
-  auto entry = std::make_shared<WeightsEntry>();
-  KGFD_ASSIGN_OR_RETURN(entry->weights, ComputeStrategyWeights(strategy, kg));
-  KGFD_ASSIGN_OR_RETURN(entry->subject_sampler,
-                        AliasSampler::Build(entry->weights.subject_weights));
-  KGFD_ASSIGN_OR_RETURN(entry->object_sampler,
-                        AliasSampler::Build(entry->weights.object_weights));
-  std::shared_ptr<const WeightsEntry> shared = std::move(entry);
-  weights_.emplace(key, shared);
-  return shared;
+Result<DiscoveryCache::WeightsEntry> ComputeWeightsEntry(
+    SamplingStrategy strategy, const Model* model, const TripleStore& kg) {
+  DiscoveryCache::WeightsEntry entry;
+  KGFD_ASSIGN_OR_RETURN(
+      entry.weights,
+      strategy == SamplingStrategy::kModelScore && model != nullptr
+          ? ComputeModelScoreWeights(*model, kg)
+          : ComputeStrategyWeights(strategy, kg));
+  KGFD_ASSIGN_OR_RETURN(entry.subject_sampler,
+                        AliasSampler::Build(entry.weights.subject_weights));
+  KGFD_ASSIGN_OR_RETURN(entry.object_sampler,
+                        AliasSampler::Build(entry.weights.object_weights));
+  return entry;
 }
 
 Result<std::shared_ptr<const DiscoveryCache::WeightsEntry>>
-DiscoveryCache::GetOrComputeModelScoreWeights(const Model& model,
-                                              const TripleStore& kg) {
-  const int key = static_cast<int>(SamplingStrategy::kModelScore);
-  // Same serialization rationale as GetOrComputeWeights — the sketch's probe
-  // sweep is by far the most expensive weights computation, so racing copies
-  // would be the worst case, not just wasteful.
+DiscoveryCache::GetOrComputeWeights(SamplingStrategy strategy,
+                                    const TripleStore& kg,
+                                    const Model* model) {
+  const int key = static_cast<int>(strategy);
+  const bool sketch = strategy == SamplingStrategy::kModelScore;
+  Counter* const hits = sketch ? sketch_hits_ : weights_hits_;
+  Counter* const misses = sketch ? sketch_misses_ : weights_misses_;
+  // Computed under the lock: concurrent relations requesting the same
+  // strategy serialize on the first computation instead of racing N copies
+  // of an expensive metric sweep (the sketch's probe sweep most of all),
+  // and every later caller is a pure lookup.
   std::lock_guard<std::mutex> lock(mu_);
   auto it = weights_.find(key);
   if (it != weights_.end()) {
     weights_hits_n_.fetch_add(1, std::memory_order_relaxed);
-    if (sketch_hits_ != nullptr) sketch_hits_->Increment();
+    if (hits != nullptr) hits->Increment();
     return it->second;
   }
-  if (sketch_misses_ != nullptr) sketch_misses_->Increment();
-  auto entry = std::make_shared<WeightsEntry>();
-  KGFD_ASSIGN_OR_RETURN(entry->weights, ComputeModelScoreWeights(model, kg));
-  KGFD_ASSIGN_OR_RETURN(entry->subject_sampler,
-                        AliasSampler::Build(entry->weights.subject_weights));
-  KGFD_ASSIGN_OR_RETURN(entry->object_sampler,
-                        AliasSampler::Build(entry->weights.object_weights));
-  std::shared_ptr<const WeightsEntry> shared = std::move(entry);
+  if (misses != nullptr) misses->Increment();
+  KGFD_ASSIGN_OR_RETURN(WeightsEntry entry,
+                        ComputeWeightsEntry(strategy, model, kg));
+  auto shared = std::make_shared<const WeightsEntry>(std::move(entry));
   weights_.emplace(key, shared);
   return shared;
 }
@@ -72,63 +62,40 @@ size_t DiscoveryCache::Fetch(const std::vector<SideScoreCache::Key>& keys,
                              bool filtered, bool object_side,
                              SideScoreCache* local,
                              std::vector<SideScoreCache::Key>* missing) {
-  // Collect the shared_ptrs under the lock, copy entry payloads outside it:
-  // entries are immutable once published, so the copies cannot race later
-  // inserts, and the lock is never held across an O(|E|) memcpy.
-  std::vector<std::pair<SideScoreCache::Key,
-                        std::shared_ptr<const SideScoreCache::Entry>>>
-      hits;
-  hits.reserve(keys.size());
+  // Entries are immutable once published, so the consumer holds the very
+  // pointer the store holds; nothing is copied.
+  size_t hits = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const ScoreMap& map = scores_[object_side ? 1 : 0][filtered ? 1 : 0];
     for (const SideScoreCache::Key& key : keys) {
       auto it = map.find(PackKey(key));
       if (it != map.end()) {
-        hits.emplace_back(key, it->second);
+        local->Insert(object_side, key, it->second);
+        ++hits;
       } else if (missing != nullptr) {
         missing->push_back(key);
       }
     }
   }
-  for (const auto& [key, entry] : hits) {
-    if (object_side) {
-      local->InsertObjects(key.first, key.second, *entry);
-    } else {
-      local->InsertSubjects(key.second, key.first, *entry);
-    }
-  }
-  scores_hits_n_.fetch_add(hits.size(), std::memory_order_relaxed);
-  if (scores_hits_ != nullptr && !hits.empty()) {
-    scores_hits_->Increment(hits.size());
-  }
-  const size_t misses = keys.size() - hits.size();
+  scores_hits_n_.fetch_add(hits, std::memory_order_relaxed);
+  if (scores_hits_ != nullptr && hits > 0) scores_hits_->Increment(hits);
+  const size_t misses = keys.size() - hits;
   if (scores_misses_ != nullptr && misses > 0) {
     scores_misses_->Increment(misses);
   }
-  return hits.size();
+  return hits;
 }
 
 void DiscoveryCache::Publish(const std::vector<SideScoreCache::Key>& keys,
                              bool filtered, bool object_side,
                              const SideScoreCache& local) {
-  // Copy outside the lock, insert the finished shared_ptrs under it.
-  std::vector<std::pair<uint64_t,
-                        std::shared_ptr<const SideScoreCache::Entry>>>
-      ready;
-  ready.reserve(keys.size());
-  for (const SideScoreCache::Key& key : keys) {
-    const SideScoreCache::Entry* entry =
-        object_side ? local.FindObjects(key.first, key.second)
-                    : local.FindSubjects(key.second, key.first);
-    if (entry == nullptr) continue;  // cancelled before this key was scored
-    ready.emplace_back(PackKey(key),
-                       std::make_shared<SideScoreCache::Entry>(*entry));
-  }
   std::lock_guard<std::mutex> lock(mu_);
   ScoreMap& map = scores_[object_side ? 1 : 0][filtered ? 1 : 0];
-  for (auto& [packed, entry] : ready) {
-    map.emplace(packed, std::move(entry));  // first writer wins
+  for (const SideScoreCache::Key& key : keys) {
+    SideScoreCache::EntryPtr entry = local.Share(object_side, key);
+    if (entry == nullptr) continue;  // cancelled before this key was scored
+    map.emplace(PackKey(key), std::move(entry));  // first writer wins
   }
 }
 

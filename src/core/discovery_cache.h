@@ -71,24 +71,22 @@ class DiscoveryCache {
     AliasSampler object_sampler;
   };
 
-  /// Returns the cached entry for `strategy`, computing (weights + both
-  /// samplers) on first use. Concurrent callers for the same strategy
-  /// serialize on the first computation and then share one entry.
-  Result<std::shared_ptr<const WeightsEntry>> GetOrComputeWeights(
-      SamplingStrategy strategy, const TripleStore& kg);
-
-  /// MODEL_SCORE counterpart: computes the score sketch (one probe-pass
-  /// sweep through the batch kernels, adaptive/score_sketch.h) on first use
-  /// and caches the resulting weights + samplers like any other strategy.
+  /// Returns the cached entry for `strategy`, computing it with
+  /// ComputeWeightsEntry on first use (MODEL_SCORE needs `model` for its
+  /// score sketch). Concurrent callers for the same strategy serialize on
+  /// the first computation and then share one entry. MODEL_SCORE lookups
+  /// count as sketch hits/misses, every other strategy as weight hits/misses.
   /// The sketch is a deterministic function of (model, KG) — exactly the
-  /// pair this cache instance is keyed by (HashModelParameters ⊕ KG
-  /// fingerprint), so one instance never mixes sketches of two models.
-  Result<std::shared_ptr<const WeightsEntry>> GetOrComputeModelScoreWeights(
-      const Model& model, const TripleStore& kg);
+  /// pair this instance is keyed by — so one instance never mixes sketches
+  /// of two models.
+  Result<std::shared_ptr<const WeightsEntry>> GetOrComputeWeights(
+      SamplingStrategy strategy, const TripleStore& kg,
+      const Model* model = nullptr);
 
-  /// Copies cached object-side entries for `keys` into `local` and appends
-  /// the keys without a cached entry to `missing` (preserving `keys`
-  /// order). Returns the number of hits.
+  /// Hands the cached object-side entries for `keys` to `local` — the same
+  /// immutable entries, not copies — and appends the keys without a cached
+  /// entry to `missing` (preserving `keys` order). Returns the number of
+  /// hits.
   size_t FetchObjects(const std::vector<SideScoreCache::Key>& keys,
                       bool filtered, SideScoreCache* local,
                       std::vector<SideScoreCache::Key>* missing);
@@ -97,8 +95,8 @@ class DiscoveryCache {
                        bool filtered, SideScoreCache* local,
                        std::vector<SideScoreCache::Key>* missing);
 
-  /// Copies `local`'s entries for `keys` into the store. First writer wins;
-  /// keys without a local entry (a cancelled precompute) are skipped.
+  /// Stores `local`'s entries for `keys` (shared, not copied). First writer
+  /// wins; keys without a local entry (a cancelled precompute) are skipped.
   void PublishObjects(const std::vector<SideScoreCache::Key>& keys,
                       bool filtered, const SideScoreCache& local);
   void PublishSubjects(const std::vector<SideScoreCache::Key>& keys,
@@ -110,9 +108,7 @@ class DiscoveryCache {
   uint64_t scores_hits() const { return scores_hits_n_; }
 
  private:
-  using ScoreMap =
-      std::unordered_map<uint64_t,
-                         std::shared_ptr<const SideScoreCache::Entry>>;
+  using ScoreMap = std::unordered_map<uint64_t, SideScoreCache::EntryPtr>;
 
   static uint64_t PackKey(const SideScoreCache::Key& key) {
     return (static_cast<uint64_t>(key.second) << 32) |
@@ -140,6 +136,13 @@ class DiscoveryCache {
   std::atomic<uint64_t> weights_hits_n_{0};
   std::atomic<uint64_t> scores_hits_n_{0};
 };
+
+/// Algorithm 1 line 7 for one strategy: its weights plus both alias
+/// samplers. MODEL_SCORE builds its weights from `model`'s score sketch
+/// (adaptive/score_sketch.h); every other strategy reads only `kg`, and
+/// `model` may be null.
+Result<DiscoveryCache::WeightsEntry> ComputeWeightsEntry(
+    SamplingStrategy strategy, const Model* model, const TripleStore& kg);
 
 }  // namespace kgfd
 

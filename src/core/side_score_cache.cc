@@ -9,37 +9,34 @@
 
 namespace kgfd {
 
-namespace {
-
 /// Shared shape of both Precompute* calls: score the not-yet-cached keys
 /// through the model's batch API into fixed slots on the pool, then insert
 /// serially (the map itself is not thread-safe).
 ///
 /// Both cache sides store Key as (entity, relation) with exactly the entity
 /// the batch API wants (subject for the object side, object for the subject
-/// side), so one SideQuery construction serves both; only `fill_excluded`
-/// differs. Scoring walks each ParallelFor chunk in kernels::kQueryBlock
-/// sub-blocks — one kernel invocation per sub-block instead of one virtual
-/// ScoreObjects call per key — with a cancel probe between sub-blocks so a
-/// stop request never waits on more than one block of scoring.
-template <typename BatchScore, typename FillExcluded>
-size_t PrecomputeInto(std::unordered_map<uint64_t, SideScoreCache::Entry>* map,
-                      const std::vector<SideScoreCache::Key>& keys,
-                      uint64_t (*pack)(const SideScoreCache::Key&),
-                      const BatchScore& batch_score,
-                      const FillExcluded& fill_excluded, ThreadPool* pool,
-                      const CancelContext* cancel) {
-  std::vector<const SideScoreCache::Key*> fresh;
+/// side), so one SideQuery construction serves both. Scoring walks each
+/// ParallelFor chunk in kernels::kQueryBlock sub-blocks — one kernel
+/// invocation per sub-block instead of one virtual ScoreObjects call per
+/// key — with a cancel probe between sub-blocks so a stop request never
+/// waits on more than one block of scoring.
+size_t SideScoreCache::Precompute(bool object_side, const Model& model,
+                                  const TripleStore& kg,
+                                  const std::vector<Key>& keys, bool filtered,
+                                  ThreadPool* pool,
+                                  const CancelContext* cancel) {
+  Map& map = maps_[object_side ? 1 : 0];
+  std::vector<const Key*> fresh;
   fresh.reserve(keys.size());
   std::unordered_set<uint64_t> batch;  // dedup within this key list too
-  for (const SideScoreCache::Key& key : keys) {
-    const uint64_t packed = pack(key);
-    if (map->find(packed) == map->end() && batch.insert(packed).second) {
+  for (const Key& key : keys) {
+    const uint64_t packed = PackKey(key);
+    if (map.find(packed) == map.end() && batch.insert(packed).second) {
       fresh.push_back(&key);
     }
   }
   const bool stoppable = cancel != nullptr && cancel->CanStop();
-  std::vector<SideScoreCache::Entry> entries(fresh.size());
+  std::vector<Entry> entries(fresh.size());
   ParallelFor(
       pool, fresh.size(),
       [&](size_t begin, size_t end) {
@@ -56,9 +53,20 @@ size_t PrecomputeInto(std::unordered_map<uint64_t, SideScoreCache::Entry>* map,
             queries[i - block] = SideQuery{fresh[i]->first, fresh[i]->second};
             outs[i - block] = &entries[i].scores;
           }
-          batch_score(queries, block_end - block, outs);
+          if (object_side) {
+            model.ScoreObjectsBatch(queries, block_end - block, outs);
+          } else {
+            model.ScoreSubjectsBatch(queries, block_end - block, outs);
+          }
           for (size_t i = block; i < block_end; ++i) {
-            fill_excluded(*fresh[i], &entries[i]);
+            Entry& entry = entries[i];
+            entry.excluded.assign(entry.scores.size(), 0);
+            if (!filtered) continue;
+            const Key& k = *fresh[i];
+            for (EntityId e : object_side ? kg.ObjectsOf(k.first, k.second)
+                                          : kg.SubjectsOf(k.second, k.first)) {
+              entry.excluded[e] = 1;
+            }
           }
         }
       },
@@ -69,35 +77,20 @@ size_t PrecomputeInto(std::unordered_map<uint64_t, SideScoreCache::Entry>* map,
   size_t inserted = 0;
   for (size_t i = 0; i < fresh.size(); ++i) {
     if (entries[i].scores.empty()) continue;
-    map->emplace(pack(*fresh[i]), std::move(entries[i]));
+    map.emplace(PackKey(*fresh[i]),
+                std::make_shared<const Entry>(std::move(entries[i])));
     ++inserted;
   }
   return inserted;
 }
-
-}  // namespace
 
 size_t SideScoreCache::PrecomputeObjects(const Model& model,
                                          const TripleStore& kg,
                                          const std::vector<Key>& keys,
                                          bool filtered, ThreadPool* pool,
                                          const CancelContext* cancel) {
-  return PrecomputeInto(
-      &by_subject_, keys,
-      +[](const Key& k) { return PackKey(k.first, k.second); },
-      [&](const SideQuery* queries, size_t n,
-          std::vector<double>* const* outs) {
-        model.ScoreObjectsBatch(queries, n, outs);
-      },
-      [&](const Key& k, Entry* entry) {
-        entry->excluded.assign(entry->scores.size(), 0);
-        if (filtered) {
-          for (EntityId o : kg.ObjectsOf(k.first, k.second)) {
-            entry->excluded[o] = 1;
-          }
-        }
-      },
-      pool, cancel);
+  return Precompute(/*object_side=*/true, model, kg, keys, filtered, pool,
+                    cancel);
 }
 
 size_t SideScoreCache::PrecomputeSubjects(const Model& model,
@@ -105,47 +98,42 @@ size_t SideScoreCache::PrecomputeSubjects(const Model& model,
                                           const std::vector<Key>& keys,
                                           bool filtered, ThreadPool* pool,
                                           const CancelContext* cancel) {
-  return PrecomputeInto(
-      &by_object_, keys,
-      +[](const Key& k) { return PackKey(k.first, k.second); },
-      [&](const SideQuery* queries, size_t n,
-          std::vector<double>* const* outs) {
-        model.ScoreSubjectsBatch(queries, n, outs);
-      },
-      [&](const Key& k, Entry* entry) {
-        entry->excluded.assign(entry->scores.size(), 0);
-        if (filtered) {
-          for (EntityId s : kg.SubjectsOf(k.second, k.first)) {
-            entry->excluded[s] = 1;
-          }
-        }
-      },
-      pool, cancel);
+  return Precompute(/*object_side=*/false, model, kg, keys, filtered, pool,
+                    cancel);
 }
 
 const SideScoreCache::Entry* SideScoreCache::FindObjects(EntityId s,
                                                          RelationId r) const {
-  auto it = by_subject_.find(PackKey(s, r));
-  return it == by_subject_.end() ? nullptr : &it->second;
+  return Find(/*object_side=*/true, {s, r});
 }
 
 const SideScoreCache::Entry* SideScoreCache::FindSubjects(RelationId r,
                                                           EntityId o) const {
-  auto it = by_object_.find(PackKey(o, r));
-  return it == by_object_.end() ? nullptr : &it->second;
+  return Find(/*object_side=*/false, {o, r});
 }
 
-void SideScoreCache::InsertObjects(EntityId s, RelationId r, Entry entry) {
-  by_subject_.emplace(PackKey(s, r), std::move(entry));
+const SideScoreCache::Entry* SideScoreCache::Find(bool object_side,
+                                                  const Key& key) const {
+  const Map& map = maps_[object_side ? 1 : 0];
+  auto it = map.find(PackKey(key));
+  return it == map.end() ? nullptr : it->second.get();
 }
 
-void SideScoreCache::InsertSubjects(RelationId r, EntityId o, Entry entry) {
-  by_object_.emplace(PackKey(o, r), std::move(entry));
+SideScoreCache::EntryPtr SideScoreCache::Share(bool object_side,
+                                               const Key& key) const {
+  const Map& map = maps_[object_side ? 1 : 0];
+  auto it = map.find(PackKey(key));
+  return it == map.end() ? nullptr : it->second;
+}
+
+void SideScoreCache::Insert(bool object_side, const Key& key,
+                            EntryPtr entry) {
+  maps_[object_side ? 1 : 0].emplace(PackKey(key), std::move(entry));
 }
 
 void SideScoreCache::Clear() {
-  by_subject_.clear();
-  by_object_.clear();
+  maps_[0].clear();
+  maps_[1].clear();
 }
 
 }  // namespace kgfd

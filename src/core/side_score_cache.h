@@ -2,6 +2,7 @@
 #define KGFD_CORE_SIDE_SCORE_CACHE_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -25,6 +26,10 @@ class ThreadPool;
 /// batch API (ScoreObjectsBatch / ScoreSubjectsBatch) and fanning the
 /// blocks out on a ThreadPool. Afterwards FindObjects / FindSubjects are
 /// read-only and safe to call from many threads concurrently.
+///
+/// Entries are immutable once built and held by shared_ptr, so a run-local
+/// cache and the cross-run DiscoveryCache share one copy of each entry's
+/// |E| scores instead of copying them.
 class SideScoreCache {
  public:
   struct Entry {
@@ -33,6 +38,7 @@ class SideScoreCache {
     /// must not count as a competitor.
     std::vector<char> excluded;
   };
+  using EntryPtr = std::shared_ptr<const Entry>;
 
   /// (entity, relation) pairs addressing object-side entries via the
   /// subject, or subject-side entries via the object.
@@ -59,27 +65,34 @@ class SideScoreCache {
   const Entry* FindObjects(EntityId s, RelationId r) const;
   const Entry* FindSubjects(RelationId r, EntityId o) const;
 
-  /// Inserts an already-computed entry, keeping the existing one on key
-  /// collision. Seam for DiscoveryCache to seed a run-local cache with
-  /// cross-run entries before Precompute* fills the remaining keys.
-  void InsertObjects(EntityId s, RelationId r, Entry entry);
-  void InsertSubjects(RelationId r, EntityId o, Entry entry);
+  /// Seam for DiscoveryCache, on the object side ((subject, relation) key)
+  /// or the subject side ((object, relation) key): Share returns the stored
+  /// pointer (null when absent), and Insert stores an already-built entry,
+  /// keeping the existing one on key collision. Neither copies the entry.
+  EntryPtr Share(bool object_side, const Key& key) const;
+  void Insert(bool object_side, const Key& key, EntryPtr entry);
 
   void Clear();
 
-  size_t num_object_entries() const { return by_subject_.size(); }
-  size_t num_subject_entries() const { return by_object_.size(); }
+  size_t num_object_entries() const { return maps_[1].size(); }
+  size_t num_subject_entries() const { return maps_[0].size(); }
 
  private:
-  static uint64_t PackKey(EntityId e, RelationId r) {
-    return (static_cast<uint64_t>(r) << 32) | static_cast<uint64_t>(e);
-  }
+  using Map = std::unordered_map<uint64_t, EntryPtr>;
 
-  /// Object-side entries keyed by (subject, relation) and subject-side
-  /// entries keyed by (object, relation). unordered_map references stay
-  /// valid across inserts, which FindObjects/FindSubjects rely on.
-  std::unordered_map<uint64_t, Entry> by_subject_;
-  std::unordered_map<uint64_t, Entry> by_object_;
+  static uint64_t PackKey(const Key& key) {
+    return (static_cast<uint64_t>(key.second) << 32) |
+           static_cast<uint64_t>(key.first);
+  }
+  size_t Precompute(bool object_side, const Model& model,
+                    const TripleStore& kg, const std::vector<Key>& keys,
+                    bool filtered, ThreadPool* pool,
+                    const CancelContext* cancel);
+  const Entry* Find(bool object_side, const Key& key) const;
+
+  /// Indexed [object_side]: subject-side entries keyed by (object,
+  /// relation), object-side entries by (subject, relation).
+  Map maps_[2];
 };
 
 }  // namespace kgfd

@@ -141,19 +141,21 @@ void MarkKnownSubjects(const std::vector<const TripleStore*>& stores,
   }
 }
 
-}  // namespace
-
-Result<LinkPredictionMetrics> EvaluateLinkPrediction(
-    const Model& model, const Dataset& dataset, const TripleStore& split,
-    const EvalConfig& config, ThreadPool* pool) {
-  KGFD_RETURN_NOT_OK(ValidateModelShape(model, dataset.num_entities(),
-                                        dataset.num_relations()));
+/// The one ranking loop of both evaluators (each validates the model shape
+/// first): scores both sides of every triple of `split` through the
+/// model's batch API and writes its filtered (when config.filtered)
+/// mid-tie ranks to (*ranks)[2i] (object side) and (*ranks)[2i + 1]
+/// (subject side). Fixed slots keep the ranks independent
+/// of how a non-null `pool` schedules the triples. A stop request
+/// abandons the split and returns the stop as an error: ranks over an
+/// arbitrary prefix of it would be silently misleading.
+Status RankSplit(const Model& model, const Dataset& dataset,
+                 const TripleStore& split, const EvalConfig& config,
+                 ThreadPool* pool, std::vector<double>* ranks) {
   const std::vector<const TripleStore*> stores = {
       &dataset.train(), &dataset.valid(), &dataset.test()};
-  ScopedSpan span(config.metrics, kEvalSpan);
-  // Fixed slots per triple keep the result independent of scheduling.
-  std::vector<double> ranks(split.size() * 2, 0.0);
   const std::vector<Triple>& triples = split.triples();
+  ranks->assign(triples.size() * 2, 0.0);
   // Triples per batch-scoring call. Small on purpose: each query needs a
   // num_entities-sized score vector, so the working set stays a few
   // hundred KB per thread while still amortizing the kernel's row loads
@@ -186,7 +188,7 @@ Result<LinkPredictionMetrics> EvaluateLinkPrediction(
             if (config.filtered) {
               MarkKnownObjects(stores, t.subject, t.relation, &excluded);
             }
-            ranks[2 * (block + j)] =
+            (*ranks)[2 * (block + j)] =
                 RankAgainstScores(scores[j], t.object, &excluded);
           }
           // Subject side.
@@ -201,17 +203,28 @@ Result<LinkPredictionMetrics> EvaluateLinkPrediction(
             if (config.filtered) {
               MarkKnownSubjects(stores, t.relation, t.object, &excluded);
             }
-            ranks[2 * (block + j) + 1] =
+            (*ranks)[2 * (block + j) + 1] =
                 RankAgainstScores(scores[j], t.subject, &excluded);
           }
         }
       },
       &config.cancel, kEvalBatch);
-  KGFD_RETURN_NOT_OK(config.cancel.Check("link-prediction evaluation"));
+  return config.cancel.Check("link-prediction evaluation");
+}
+
+}  // namespace
+
+Result<LinkPredictionMetrics> EvaluateLinkPrediction(
+    const Model& model, const Dataset& dataset, const TripleStore& split,
+    const EvalConfig& config, ThreadPool* pool) {
+  KGFD_RETURN_NOT_OK(ValidateModelShape(model, dataset.num_entities(),
+                                        dataset.num_relations()));
+  ScopedSpan span(config.metrics, kEvalSpan);
+  std::vector<double> ranks;
+  KGFD_RETURN_NOT_OK(RankSplit(model, dataset, split, config, pool, &ranks));
   const double elapsed = span.Stop();
   if (config.metrics != nullptr) {
-    config.metrics->GetCounter(kEvalTriplesCounter)
-        ->Increment(triples.size());
+    config.metrics->GetCounter(kEvalTriplesCounter)->Increment(split.size());
     if (elapsed > 0.0) {
       config.metrics->GetGauge(kEvalThroughputGauge)
           ->Set(static_cast<double>(ranks.size()) / elapsed);
@@ -259,61 +272,22 @@ Result<StratifiedMetrics> EvaluateByPopularity(
     return num_buckets - 1;
   };
 
-  std::vector<std::vector<double>> ranks(num_buckets);
-  const std::vector<const TripleStore*> stores = {
-      &dataset.train(), &dataset.valid(), &dataset.test()};
-  std::vector<double> scores;
-  std::vector<char> excluded;
-  for (const Triple& t : split.triples()) {
-    KGFD_RETURN_NOT_OK(config.cancel.Check("popularity evaluation"));
-    model.ScoreObjects(t.subject, t.relation, &scores);
-    excluded.assign(scores.size(), 0);
-    if (config.filtered) {
-      MarkKnownObjects(stores, t.subject, t.relation, &excluded);
-    }
-    ranks[bucket_of(t.object)].push_back(
-        RankAgainstScores(scores, t.object, &excluded));
-    model.ScoreSubjects(t.relation, t.object, &scores);
-    excluded.assign(scores.size(), 0);
-    if (config.filtered) {
-      MarkKnownSubjects(stores, t.relation, t.object, &excluded);
-    }
-    ranks[bucket_of(t.subject)].push_back(
-        RankAgainstScores(scores, t.subject, &excluded));
+  std::vector<double> ranks;
+  KGFD_RETURN_NOT_OK(RankSplit(model, dataset, split, config,
+                               /*pool=*/nullptr, &ranks));
+  // Each rank goes to the bucket of the entity it predicts, in split
+  // order, so a single bucket folds exactly EvaluateLinkPrediction's ranks.
+  std::vector<std::vector<double>> bucket_ranks(num_buckets);
+  const std::vector<Triple>& triples = split.triples();
+  for (size_t i = 0; i < triples.size(); ++i) {
+    bucket_ranks[bucket_of(triples[i].object)].push_back(ranks[2 * i]);
+    bucket_ranks[bucket_of(triples[i].subject)].push_back(ranks[2 * i + 1]);
   }
   result.buckets.reserve(num_buckets);
-  for (const std::vector<double>& bucket_ranks : ranks) {
-    result.buckets.push_back(MetricsFromRanks(bucket_ranks));
+  for (const std::vector<double>& bucket : bucket_ranks) {
+    result.buckets.push_back(MetricsFromRanks(bucket));
   }
   return result;
-}
-
-SideRanks RankTriple(const Model& model, const Triple& t,
-                     const TripleStore& known, bool filtered) {
-  SideRanks out;
-  std::vector<double> scores;
-  std::vector<char> excluded;
-
-  model.ScoreObjects(t.subject, t.relation, &scores);
-  excluded.assign(scores.size(), 0);
-  if (filtered) {
-    for (EntityId o : known.ObjectsOf(t.subject, t.relation)) {
-      excluded[o] = 1;
-    }
-    excluded[t.object] = 0;  // never filter the target itself
-  }
-  out.object_rank = RankAgainstScores(scores, t.object, &excluded);
-
-  model.ScoreSubjects(t.relation, t.object, &scores);
-  excluded.assign(scores.size(), 0);
-  if (filtered) {
-    for (EntityId s : known.SubjectsOf(t.relation, t.object)) {
-      excluded[s] = 1;
-    }
-    excluded[t.subject] = 0;
-  }
-  out.subject_rank = RankAgainstScores(scores, t.subject, &excluded);
-  return out;
 }
 
 }  // namespace kgfd

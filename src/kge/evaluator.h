@@ -105,19 +105,6 @@ Result<StratifiedMetrics> EvaluateByPopularity(
     const Model& model, const Dataset& dataset, const TripleStore& split,
     size_t num_buckets, const EvalConfig& config = EvalConfig());
 
-/// Per-triple side ranks, for callers that need the raw ranks (the fact
-/// discovery pipeline, rank-distribution tests).
-struct SideRanks {
-  double subject_rank = 0.0;
-  double object_rank = 0.0;
-};
-
-/// Ranks one triple against its corruptions on both sides. `known` supplies
-/// the filter sets (pass the training store for discovery, or the whole
-/// dataset's splits for test evaluation via `extra_known`).
-SideRanks RankTriple(const Model& model, const Triple& t,
-                     const TripleStore& known, bool filtered);
-
 }  // namespace kgfd
 
 #endif  // KGFD_KGE_EVALUATOR_H_

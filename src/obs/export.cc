@@ -1,11 +1,8 @@
 #include "obs/export.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <utility>
-#include <vector>
 
 namespace kgfd {
 namespace {
@@ -103,289 +100,6 @@ std::string MetricsToJson(const MetricsSnapshot& snapshot) {
   }
   out << (first ? "" : "\n  ") << "}\n}\n";
   return out.str();
-}
-
-namespace {
-
-/// Minimal JSON document model, just rich enough to parse MetricsToJson
-/// output (and any standard JSON document without \u surrogate pairs).
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string raw_number;  // verbatim text, for exact uint64 parses
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text)
-      : begin_(text.data()), p_(text.data()), end_(text.data() + text.size()) {}
-
-  Result<JsonValue> Parse() {
-    KGFD_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-    SkipWhitespace();
-    if (p_ != end_) return Error("trailing characters");
-    return value;
-  }
-
- private:
-  Status Error(const std::string& message) const {
-    return Status::InvalidArgument(
-        "json: " + message + " at offset " +
-        std::to_string(static_cast<size_t>(p_ - begin_)));
-  }
-
-  void SkipWhitespace() {
-    while (p_ != end_ &&
-           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
-      ++p_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWhitespace();
-    if (p_ != end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ConsumeLiteral(const char* literal) {
-    const char* q = p_;
-    for (const char* l = literal; *l != '\0'; ++l, ++q) {
-      if (q == end_ || *q != *l) return false;
-    }
-    p_ = q;
-    return true;
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipWhitespace();
-    if (p_ == end_) return Error("unexpected end of input");
-    JsonValue value;
-    switch (*p_) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
-      case '"': {
-        value.kind = JsonValue::Kind::kString;
-        KGFD_ASSIGN_OR_RETURN(value.string, ParseString());
-        return value;
-      }
-      case 't':
-        if (!ConsumeLiteral("true")) return Error("bad literal");
-        value.kind = JsonValue::Kind::kBool;
-        value.boolean = true;
-        return value;
-      case 'f':
-        if (!ConsumeLiteral("false")) return Error("bad literal");
-        value.kind = JsonValue::Kind::kBool;
-        return value;
-      case 'n':
-        if (!ConsumeLiteral("null")) return Error("bad literal");
-        return value;
-      default: return ParseNumber();
-    }
-  }
-
-  Result<std::string> ParseString() {
-    if (!Consume('"')) return Error("expected string");
-    std::string out;
-    while (p_ != end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (p_ == end_) return Error("unterminated escape");
-      c = *p_++;
-      switch (c) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (end_ - p_ < 4) return Error("short \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = *p_++;
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return Error("bad \\u escape");
-          }
-          if (code > 0x7F) return Error("non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          break;
-        }
-        default: return Error("bad escape");
-      }
-    }
-    if (!Consume('"')) return Error("unterminated string");
-    return out;
-  }
-
-  Result<JsonValue> ParseNumber() {
-    const char* start = p_;
-    if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
-    while (p_ != end_ && ((*p_ >= '0' && *p_ <= '9') || *p_ == '.' ||
-                          *p_ == 'e' || *p_ == 'E' || *p_ == '-' ||
-                          *p_ == '+')) {
-      ++p_;
-    }
-    if (p_ == start) return Error("expected a value");
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    value.raw_number.assign(start, static_cast<size_t>(p_ - start));
-    char* parse_end = nullptr;
-    value.number = std::strtod(value.raw_number.c_str(), &parse_end);
-    if (parse_end != value.raw_number.c_str() + value.raw_number.size()) {
-      return Error("malformed number");
-    }
-    return value;
-  }
-
-  Result<JsonValue> ParseArray() {
-    if (!Consume('[')) return Error("expected array");
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    if (Consume(']')) return value;
-    for (;;) {
-      KGFD_ASSIGN_OR_RETURN(JsonValue element, ParseValue());
-      value.array.push_back(std::move(element));
-      if (Consume(']')) return value;
-      if (!Consume(',')) return Error("expected ',' or ']'");
-    }
-  }
-
-  Result<JsonValue> ParseObject() {
-    if (!Consume('{')) return Error("expected object");
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    if (Consume('}')) return value;
-    for (;;) {
-      SkipWhitespace();
-      KGFD_ASSIGN_OR_RETURN(std::string key, ParseString());
-      if (!Consume(':')) return Error("expected ':'");
-      KGFD_ASSIGN_OR_RETURN(JsonValue element, ParseValue());
-      value.object.emplace_back(std::move(key), std::move(element));
-      if (Consume('}')) return value;
-      if (!Consume(',')) return Error("expected ',' or '}'");
-    }
-  }
-
-  const char* begin_;
-  const char* p_;
-  const char* end_;
-};
-
-Result<uint64_t> AsUint64(const JsonValue& value, const char* what) {
-  if (value.kind != JsonValue::Kind::kNumber) {
-    return Status::InvalidArgument(std::string(what) + " is not a number");
-  }
-  return static_cast<uint64_t>(
-      std::strtoull(value.raw_number.c_str(), nullptr, 10));
-}
-
-Result<double> AsDouble(const JsonValue& value, const char* what) {
-  if (value.kind != JsonValue::Kind::kNumber) {
-    return Status::InvalidArgument(std::string(what) + " is not a number");
-  }
-  return value.number;
-}
-
-Result<MetricsSnapshot::HistogramValue> ParseHistogram(
-    const JsonValue& value) {
-  if (value.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("histogram is not an object");
-  }
-  MetricsSnapshot::HistogramValue h;
-  const JsonValue* count = value.Find("count");
-  const JsonValue* sum = value.Find("sum");
-  const JsonValue* min = value.Find("min");
-  const JsonValue* max = value.Find("max");
-  const JsonValue* buckets = value.Find("buckets");
-  if (count == nullptr || sum == nullptr || min == nullptr ||
-      max == nullptr || buckets == nullptr ||
-      buckets->kind != JsonValue::Kind::kArray) {
-    return Status::InvalidArgument("histogram is missing a field");
-  }
-  KGFD_ASSIGN_OR_RETURN(h.total, AsUint64(*count, "histogram count"));
-  KGFD_ASSIGN_OR_RETURN(h.sum, AsDouble(*sum, "histogram sum"));
-  KGFD_ASSIGN_OR_RETURN(h.min, AsDouble(*min, "histogram min"));
-  KGFD_ASSIGN_OR_RETURN(h.max, AsDouble(*max, "histogram max"));
-  for (const JsonValue& bucket : buckets->array) {
-    const JsonValue* le = bucket.Find("le");
-    const JsonValue* bucket_count = bucket.Find("count");
-    if (le == nullptr || bucket_count == nullptr) {
-      return Status::InvalidArgument("histogram bucket is missing a field");
-    }
-    if (le->kind == JsonValue::Kind::kNumber) {
-      h.upper_bounds.push_back(le->number);
-    } else if (le->kind != JsonValue::Kind::kString ||
-               le->string != "+Inf") {
-      return Status::InvalidArgument("bucket le is neither number nor +Inf");
-    }
-    KGFD_ASSIGN_OR_RETURN(const uint64_t n,
-                          AsUint64(*bucket_count, "bucket count"));
-    h.counts.push_back(n);
-  }
-  if (h.counts.size() != h.upper_bounds.size() + 1) {
-    return Status::InvalidArgument("histogram lacks exactly one +Inf bucket");
-  }
-  return h;
-}
-
-}  // namespace
-
-Result<MetricsSnapshot> ParseMetricsJson(const std::string& json) {
-  KGFD_ASSIGN_OR_RETURN(const JsonValue root, JsonParser(json).Parse());
-  if (root.kind != JsonValue::Kind::kObject) {
-    return Status::InvalidArgument("metrics document is not a JSON object");
-  }
-  MetricsSnapshot snapshot;
-  const JsonValue* counters = root.Find("counters");
-  const JsonValue* gauges = root.Find("gauges");
-  const JsonValue* histograms = root.Find("histograms");
-  if (counters == nullptr || gauges == nullptr || histograms == nullptr) {
-    return Status::InvalidArgument(
-        "metrics document is missing counters/gauges/histograms");
-  }
-  for (const auto& [name, value] : counters->object) {
-    KGFD_ASSIGN_OR_RETURN(snapshot.counters[name],
-                          AsUint64(value, "counter"));
-  }
-  for (const auto& [name, value] : gauges->object) {
-    const JsonValue* v = value.Find("value");
-    const JsonValue* m = value.Find("max");
-    if (v == nullptr || m == nullptr) {
-      return Status::InvalidArgument("gauge is missing value/max");
-    }
-    MetricsSnapshot::GaugeValue gauge;
-    KGFD_ASSIGN_OR_RETURN(gauge.value, AsDouble(*v, "gauge value"));
-    KGFD_ASSIGN_OR_RETURN(gauge.max, AsDouble(*m, "gauge max"));
-    snapshot.gauges[name] = gauge;
-  }
-  for (const auto& [name, value] : histograms->object) {
-    KGFD_ASSIGN_OR_RETURN(snapshot.histograms[name], ParseHistogram(value));
-  }
-  return snapshot;
 }
 
 Status WriteMetricsJsonFile(const MetricsRegistry& registry,

@@ -18,11 +18,6 @@ std::string MetricsToText(const MetricsSnapshot& snapshot);
 /// are printed with round-trip precision.
 std::string MetricsToJson(const MetricsSnapshot& snapshot);
 
-/// Parses a document produced by MetricsToJson back into a snapshot — the
-/// inverse used by the export round-trip tests and by external tooling
-/// that wants to validate a --metrics_out file.
-Result<MetricsSnapshot> ParseMetricsJson(const std::string& json);
-
 /// Snapshots `registry` and writes MetricsToJson to `path`.
 Status WriteMetricsJsonFile(const MetricsRegistry& registry,
                             const std::string& path);

@@ -411,6 +411,7 @@ Status JobJournal::Rotate(const std::vector<JournalRecord>& snapshot) {
   }
   const std::string old_path = path_;
   KGFD_RETURN_NOT_OK(OpenSegmentForAppend(next_seq, contents.size()));
+  snapshot_bytes_ = contents.size();
   ::unlink(old_path.c_str());
   return Status::OK();
 }

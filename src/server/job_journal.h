@@ -1,6 +1,7 @@
 #ifndef KGFD_SERVER_JOB_JOURNAL_H_
 #define KGFD_SERVER_JOB_JOURNAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -69,7 +70,8 @@ struct JournalRecord {
 class JobJournal {
  public:
   struct Options {
-    /// Rotate (compact) once the active segment exceeds this many bytes.
+    /// Rotate (compact) once the active segment exceeds this many bytes
+    /// (and twice the last snapshot; see ShouldRotate).
     uint64_t rotate_bytes = 4ull << 20;
     /// fdatasync every append (power-loss durability; default relies on
     /// the page cache, which survives SIGKILL but not a kernel crash).
@@ -106,9 +108,14 @@ class JobJournal {
   /// the record is simply not durable.
   Status Append(const JournalRecord& record);
 
-  /// True once the active segment has outgrown Options::rotate_bytes and
-  /// the owner should compact via Rotate().
-  bool ShouldRotate() const { return bytes_ >= options_.rotate_bytes; }
+  /// True once the owner should compact via Rotate(): the active segment
+  /// holds at least Options::rotate_bytes and at least twice the last
+  /// snapshot Rotate() wrote. The second bound keeps compaction amortized
+  /// once the live state alone outgrows rotate_bytes; without it every
+  /// append after that point would rewrite the whole snapshot.
+  bool ShouldRotate() const {
+    return bytes_ >= std::max(options_.rotate_bytes, 2 * snapshot_bytes_);
+  }
 
   /// Compacts: writes `snapshot` to a fresh segment (tmp + atomic rename),
   /// switches appends to it, then unlinks the previous segment. On error
@@ -143,6 +150,8 @@ class JobJournal {
   int fd_ = -1;
   uint64_t seq_ = 1;
   uint64_t bytes_ = 0;
+  /// Size of the segment the last Rotate() wrote (0 before the first).
+  uint64_t snapshot_bytes_ = 0;
 };
 
 }  // namespace kgfd

@@ -1,6 +1,5 @@
 #include "util/config_file.h"
 
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -64,17 +63,10 @@ Result<int64_t> ConfigFile::GetInt(const std::string& key,
   consumed_[key] = true;
   auto it = entries_.find(key);
   if (it == entries_.end()) return default_value;
-  char* end = nullptr;
-  errno = 0;  // strtoll reports overflow only through errno
-  const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("config key '" + key +
-                                   "' is not an integer: " + it->second);
-  }
-  if (errno == ERANGE) {
-    return Status::InvalidArgument("config key '" + key +
-                                   "' is out of the int64 range: " +
-                                   it->second);
+  Result<int64_t> v = ParseInt64(it->second);
+  if (!v.ok()) {
+    return Status::InvalidArgument("config key '" + key + "' " +
+                                   v.status().message());
   }
   return v;
 }

@@ -41,8 +41,23 @@ std::string Flags::GetString(const std::string& name,
 
 int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
   auto it = values_.find(name);
-  return it == values_.end() ? default_value
-                             : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return default_value;
+  Result<int64_t> v = ParseInt64(it->second);
+  if (!v.ok()) {
+    Status::InvalidArgument("--" + name + " " + v.status().message())
+        .AbortIfNotOk("command line");
+  }
+  return v.value();
+}
+
+size_t Flags::GetSize(const std::string& name, size_t default_value) const {
+  const int64_t v = GetInt(name, static_cast<int64_t>(default_value));
+  if (v < 0) {
+    Status::InvalidArgument("--" + name + " must be >= 0, got " +
+                            std::to_string(v))
+        .AbortIfNotOk("command line");
+  }
+  return static_cast<size_t>(v);
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {

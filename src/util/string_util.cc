@@ -1,6 +1,8 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 
 namespace kgfd {
 
@@ -36,6 +38,19 @@ std::string Trim(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+Result<int64_t> ParseInt64(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;  // strtoll reports overflow only through errno
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') {
+    return Status::InvalidArgument("is not an integer: " + text);
+  }
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("is out of the int64 range: " + text);
+  }
+  return static_cast<int64_t>(v);
 }
 
 }  // namespace kgfd

@@ -1,9 +1,12 @@
 #ifndef KGFD_UTIL_STRING_UTIL_H_
 #define KGFD_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/status.h"
 
 namespace kgfd {
 
@@ -19,6 +22,12 @@ std::string Trim(std::string_view s);
 
 /// True if `s` begins with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses a whole base-10 int64. Empty input, trailing garbage ("12x")
+/// and values outside [-2^63, 2^63 - 1] are InvalidArgument, whose message
+/// ("is not an integer: ...", "is out of the int64 range: ...") reads as
+/// the tail of a sentence naming the flag or key.
+Result<int64_t> ParseInt64(const std::string& text);
 
 }  // namespace kgfd
 

@@ -152,13 +152,15 @@ TEST(ScoreSketchCacheTest, SecondLookupIsASketchHit) {
   DiscoveryCache cache(&metrics);
 
   auto first =
-      cache.GetOrComputeModelScoreWeights(*f.model, f.dataset.train());
+      cache.GetOrComputeWeights(SamplingStrategy::kModelScore,
+                                f.dataset.train(), f.model.get());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(metrics.GetCounter(kSketchMissesCounter)->value(), 1u);
   EXPECT_EQ(metrics.GetCounter(kSketchHitsCounter)->value(), 0u);
 
   auto second =
-      cache.GetOrComputeModelScoreWeights(*f.model, f.dataset.train());
+      cache.GetOrComputeWeights(SamplingStrategy::kModelScore,
+                                f.dataset.train(), f.model.get());
   ASSERT_TRUE(second.ok());
   // Same entry served, sketch sweep not repeated.
   EXPECT_EQ(first.value().get(), second.value().get());
@@ -174,7 +176,8 @@ TEST(ScoreSketchCacheTest, SketchEntryIsDistinctFromFixedStrategyEntries) {
   const Fixture& f = SharedFixture();
   DiscoveryCache cache;
   auto sketch =
-      cache.GetOrComputeModelScoreWeights(*f.model, f.dataset.train());
+      cache.GetOrComputeWeights(SamplingStrategy::kModelScore,
+                                f.dataset.train(), f.model.get());
   auto fixed = cache.GetOrComputeWeights(SamplingStrategy::kEntityFrequency,
                                          f.dataset.train());
   ASSERT_TRUE(sketch.ok());

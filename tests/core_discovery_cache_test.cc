@@ -48,11 +48,11 @@ const Fixture& SharedFixture() {
   return *fixture;
 }
 
-SideScoreCache::Entry MakeEntry(double base, size_t n) {
-  SideScoreCache::Entry entry;
-  entry.scores.resize(n);
-  entry.excluded.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) entry.scores[i] = base + i;
+SideScoreCache::EntryPtr MakeEntry(double base, size_t n) {
+  auto entry = std::make_shared<SideScoreCache::Entry>();
+  entry->scores.resize(n);
+  entry->excluded.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) entry->scores[i] = base + i;
   return entry;
 }
 
@@ -86,8 +86,8 @@ TEST(DiscoveryCacheTest, WeightsComputedOnceAndShared) {
 TEST(DiscoveryCacheTest, FetchPublishRoundTripsEntries) {
   DiscoveryCache cache;
   SideScoreCache producer;
-  producer.InsertObjects(3, 1, MakeEntry(10.0, 5));
-  producer.InsertObjects(4, 1, MakeEntry(20.0, 5));
+  producer.Insert(/*object_side=*/true, {3, 1}, MakeEntry(10.0, 5));
+  producer.Insert(/*object_side=*/true, {4, 1}, MakeEntry(20.0, 5));
 
   const std::vector<SideScoreCache::Key> keys = {{3, 1}, {4, 1}};
   cache.PublishObjects(keys, /*filtered=*/true, producer);
@@ -110,12 +110,35 @@ TEST(DiscoveryCacheTest, FetchPublishRoundTripsEntries) {
   EXPECT_EQ(consumer.FindObjects(5, 1), nullptr);
 }
 
+TEST(DiscoveryCacheTest, FetchAndPublishShareEntriesWithoutCopying) {
+  // Entries are immutable, so the store keeps the producer's own entry and
+  // every consumer is handed that same object: one |E|-sized copy of the
+  // scores however many runs rank against it.
+  DiscoveryCache cache;
+  SideScoreCache producer;
+  producer.Insert(/*object_side=*/true, {3, 1}, MakeEntry(10.0, 5));
+  producer.Insert(/*object_side=*/false, {4, 1}, MakeEntry(20.0, 5));
+  cache.PublishObjects({{3, 1}}, /*filtered=*/true, producer);
+  cache.PublishSubjects({{4, 1}}, /*filtered=*/true, producer);
+  ASSERT_NE(producer.FindObjects(3, 1), nullptr);
+  ASSERT_NE(producer.FindSubjects(1, 4), nullptr);
+
+  SideScoreCache first;
+  SideScoreCache second;
+  for (SideScoreCache* consumer : {&first, &second}) {
+    ASSERT_EQ(cache.FetchObjects({{3, 1}}, true, consumer, nullptr), 1u);
+    ASSERT_EQ(cache.FetchSubjects({{4, 1}}, true, consumer, nullptr), 1u);
+    EXPECT_EQ(consumer->FindObjects(3, 1), producer.FindObjects(3, 1));
+    EXPECT_EQ(consumer->FindSubjects(1, 4), producer.FindSubjects(1, 4));
+  }
+}
+
 TEST(DiscoveryCacheTest, FilteredProtocolsNeverShareEntries) {
   // The `excluded` mask of an entry depends on the ranking protocol, so a
   // filtered run must never be served an unfiltered entry (or vice versa).
   DiscoveryCache cache;
   SideScoreCache producer;
-  producer.InsertObjects(3, 1, MakeEntry(10.0, 5));
+  producer.Insert(/*object_side=*/true, {3, 1}, MakeEntry(10.0, 5));
   cache.PublishObjects({{3, 1}}, /*filtered=*/true, producer);
 
   SideScoreCache consumer;
@@ -130,7 +153,7 @@ TEST(DiscoveryCacheTest, SidesNeverShareEntries) {
   // (e=3, r=1) object-side and subject-side are different score passes.
   DiscoveryCache cache;
   SideScoreCache producer;
-  producer.InsertObjects(3, 1, MakeEntry(10.0, 5));
+  producer.Insert(/*object_side=*/true, {3, 1}, MakeEntry(10.0, 5));
   cache.PublishObjects({{3, 1}}, /*filtered=*/true, producer);
 
   SideScoreCache consumer;
@@ -143,10 +166,10 @@ TEST(DiscoveryCacheTest, SidesNeverShareEntries) {
 TEST(DiscoveryCacheTest, FirstPublishWins) {
   DiscoveryCache cache;
   SideScoreCache first;
-  first.InsertObjects(3, 1, MakeEntry(10.0, 3));
+  first.Insert(/*object_side=*/true, {3, 1}, MakeEntry(10.0, 3));
   cache.PublishObjects({{3, 1}}, true, first);
   SideScoreCache second;
-  second.InsertObjects(3, 1, MakeEntry(99.0, 3));
+  second.Insert(/*object_side=*/true, {3, 1}, MakeEntry(99.0, 3));
   cache.PublishObjects({{3, 1}}, true, second);
   EXPECT_EQ(cache.num_score_entries(), 1u);
 

@@ -228,27 +228,48 @@ TEST(EvaluateLinkPredictionTest, ParallelMatchesSerial) {
   EXPECT_EQ(serial.value().num_ranks, parallel.value().num_ranks);
 }
 
-TEST(RankTripleTest, StubRanksBothSides) {
-  TripleStore train(4, 1);
-  ASSERT_TRUE(train.AddAll({{0, 0, 1}, {1, 0, 2}}).ok());
+/// EvaluateLinkPrediction over the one-triple split {t}, with `train` as
+/// the only known triples: its two ranks are t's object and subject ranks.
+LinkPredictionMetrics RankOneTriple(const Model& model,
+                                    const std::vector<Triple>& train,
+                                    const Triple& t, bool filtered) {
+  Dataset d("stub", model.num_entities(), model.num_relations());
+  EXPECT_TRUE(d.train().AddAll(train).ok());
+  TripleStore split(model.num_entities(), model.num_relations());
+  EXPECT_TRUE(split.Add(t).ok());
+  EvalConfig config;
+  config.filtered = filtered;
+  return std::move(EvaluateLinkPrediction(model, d, split, config))
+      .ValueOrDie("one-triple split");
+}
+
+TEST(EvaluateLinkPredictionTest, OneTripleSplitRanksBothSides) {
   StubModel model(4, 1);
   // Candidate (2, 0, 3): object 3 is top => object_rank 1.
   // Subjects scored by -0.01*s: subject 2 is third best => rank 3.
-  const SideRanks ranks = RankTriple(model, {2, 0, 3}, train, false);
-  EXPECT_DOUBLE_EQ(ranks.object_rank, 1.0);
-  EXPECT_DOUBLE_EQ(ranks.subject_rank, 3.0);
+  const LinkPredictionMetrics m =
+      RankOneTriple(model, {{0, 0, 1}, {1, 0, 2}}, {2, 0, 3}, false);
+  ASSERT_EQ(m.num_ranks, 2u);
+  EXPECT_DOUBLE_EQ(m.mean_rank, (1.0 + 3.0) / 2.0);
+  EXPECT_DOUBLE_EQ(m.mrr, (1.0 + 1.0 / 3.0) / 2.0);
+  EXPECT_DOUBLE_EQ(m.hits_at_1, 0.5);
+  EXPECT_DOUBLE_EQ(m.hits_at_3, 1.0);
 }
 
-TEST(RankTripleTest, FilteringExcludesKnownCompetitors) {
-  TripleStore train(4, 1);
-  // (0, 0, 3) known: for candidate (0, 0, 2), object 3 outranks object 2
-  // raw, but is excluded under filtering.
-  ASSERT_TRUE(train.AddAll({{0, 0, 3}, {1, 0, 0}}).ok());
+TEST(EvaluateLinkPredictionTest,
+     OneTripleSplitFilteringExcludesKnownCompetitors) {
   StubModel model(4, 1);
-  const SideRanks raw = RankTriple(model, {0, 0, 2}, train, false);
-  const SideRanks filtered = RankTriple(model, {0, 0, 2}, train, true);
-  EXPECT_DOUBLE_EQ(raw.object_rank, 2.0);
-  EXPECT_DOUBLE_EQ(filtered.object_rank, 1.0);
+  // (0, 0, 3) known: for candidate (0, 0, 2), object 3 outranks object 2
+  // raw, but is excluded under filtering. Subject 0 is top either way.
+  const std::vector<Triple> train = {{0, 0, 3}, {1, 0, 0}};
+  const LinkPredictionMetrics raw = RankOneTriple(model, train, {0, 0, 2},
+                                                  /*filtered=*/false);
+  const LinkPredictionMetrics filtered = RankOneTriple(
+      model, train, {0, 0, 2}, /*filtered=*/true);
+  EXPECT_DOUBLE_EQ(raw.mean_rank, (2.0 + 1.0) / 2.0);
+  EXPECT_DOUBLE_EQ(raw.hits_at_1, 0.5);
+  EXPECT_DOUBLE_EQ(filtered.mean_rank, 1.0);
+  EXPECT_DOUBLE_EQ(filtered.hits_at_1, 1.0);
 }
 
 }  // namespace

@@ -382,6 +382,46 @@ TEST_F(JobJournalTest, RotationCompactsAndSurvivesEveryCrashState) {
   }
 }
 
+TEST_F(JobJournalTest, SnapshotAboveThresholdStillRotatesAmortized) {
+  // The owner's loop (JobManager::JournalAppendLocked): append, then compact
+  // whenever ShouldRotate(). The live-state snapshot alone is far above
+  // rotate_bytes, so a threshold of rotate_bytes only would compact after
+  // every append; rotation must instead wait until the segment has grown
+  // by at least one snapshot's worth of appends.
+  std::vector<JournalRecord> snapshot;
+  for (int j = 0; j < 20; ++j) {
+    snapshot.push_back(Submitted("job" + std::to_string(j), "cfg"));
+  }
+  uint64_t snapshot_bytes = JobJournal::SegmentHeader().size();
+  for (const JournalRecord& record : snapshot) {
+    snapshot_bytes += JobJournal::EncodeRecord(record).size();
+  }
+  const JournalRecord progress = Progress("job0", 1, 1);
+  const uint64_t record_bytes = JobJournal::EncodeRecord(progress).size();
+  const size_t appends_per_rotation = snapshot_bytes / record_bytes;
+  ASSERT_GT(appends_per_rotation, 4u);
+
+  JobJournal::Options options;
+  options.rotate_bytes = snapshot_bytes / 4;
+  JobJournal::ReplayResult replay;
+  auto journal = JobJournal::Open(dir_, options, &replay);
+  ASSERT_TRUE(journal.ok());
+  constexpr size_t kAppends = 200;
+  std::vector<size_t> rotated_at;
+  for (size_t i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(journal.value()->Append(progress).ok());
+    if (journal.value()->ShouldRotate()) {
+      ASSERT_TRUE(journal.value()->Rotate(snapshot).ok());
+      rotated_at.push_back(i);
+    }
+  }
+  ASSERT_GE(rotated_at.size(), 2u);
+  for (size_t k = 1; k < rotated_at.size(); ++k) {
+    EXPECT_GE(rotated_at[k] - rotated_at[k - 1], appends_per_rotation);
+  }
+  EXPECT_LE(rotated_at.size(), kAppends / appends_per_rotation + 1);
+}
+
 TEST_F(JobJournalTest, AppendAndRotateFailpointsInjectAndRecover) {
   JobJournal::ReplayResult replay;
   auto journal = JobJournal::Open(dir_, JobJournal::Options{}, &replay);

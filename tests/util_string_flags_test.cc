@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "util/flags.h"
@@ -44,6 +45,35 @@ TEST(StartsWithTest, Basic) {
   EXPECT_FALSE(StartsWith("-f", "--"));
   EXPECT_TRUE(StartsWith("abc", ""));
   EXPECT_FALSE(StartsWith("", "a"));
+}
+
+TEST(ParseInt64Test, BoundaryTable) {
+  struct Case {
+    const char* text;
+    bool ok;
+    int64_t value;
+  };
+  const Case cases[] = {
+      {"9223372036854775807", true, INT64_MAX},   // 2^63 - 1
+      {"9223372036854775808", false, 0},          // 2^63
+      {"-9223372036854775808", true, INT64_MIN},  // -2^63
+      {"-9223372036854775809", false, 0},         // -2^63 - 1
+      {"18446744073709551615", false, 0},         // 2^64 - 1
+      {"-1", true, -1},
+      {"0", true, 0},
+      {"12x", false, 0},
+      {"abc", false, 0},
+      {"", false, 0},
+  };
+  for (const Case& c : cases) {
+    const Result<int64_t> v = ParseInt64(c.text);
+    EXPECT_EQ(v.ok(), c.ok) << "'" << c.text << "'";
+    if (c.ok && v.ok()) {
+      EXPECT_EQ(v.value(), c.value) << c.text;
+    } else if (!c.ok) {
+      EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << c.text;
+    }
+  }
 }
 
 class FlagsTest : public ::testing::Test {
@@ -94,6 +124,21 @@ TEST_F(FlagsTest, BoolFalseSpellings) {
 TEST_F(FlagsTest, DoubleParsing) {
   const Flags f = ParseOk({"--rate=0.125"});
   EXPECT_DOUBLE_EQ(f.GetDouble("rate", 0.0), 0.125);
+}
+
+TEST_F(FlagsTest, MalformedIntegersAbortNamingTheFlag) {
+  const Flags f = ParseOk({"--threads=abc", "--top_n=12x", "--seed",
+                           "9223372036854775808"});
+  EXPECT_DEATH(f.GetInt("threads", 0), "--threads is not an integer: abc");
+  EXPECT_DEATH(f.GetInt("top_n", 0), "--top_n is not an integer: 12x");
+  EXPECT_DEATH(f.GetInt("seed", 0), "--seed is out of the int64 range");
+}
+
+TEST_F(FlagsTest, GetSizeRejectsNegativeInsteadOfWrapping) {
+  const Flags f = ParseOk({"--threads", "-1", "--top_n=7"});
+  EXPECT_DEATH(f.GetSize("threads", 0), "--threads must be >= 0, got -1");
+  EXPECT_EQ(f.GetSize("top_n", 0), 7u);
+  EXPECT_EQ(f.GetSize("missing", 3), 3u);
 }
 
 TEST(FlagsErrorTest, PositionalArgumentRejected) {

@@ -179,15 +179,12 @@ int Train(const Flags& flags) {
   ModelConfig model_config;
   model_config.num_entities = dataset.value().num_entities();
   model_config.num_relations = dataset.value().num_relations();
-  model_config.embedding_dim =
-      static_cast<size_t>(flags.GetInt("dim", 32));
+  model_config.embedding_dim = flags.GetSize("dim", 32);
 
   TrainerConfig trainer_config;
-  trainer_config.epochs = static_cast<size_t>(flags.GetInt("epochs", 25));
-  trainer_config.batch_size =
-      static_cast<size_t>(flags.GetInt("batch", 128));
-  trainer_config.negatives_per_positive =
-      static_cast<size_t>(flags.GetInt("negatives", 2));
+  trainer_config.epochs = flags.GetSize("epochs", 25);
+  trainer_config.batch_size = flags.GetSize("batch", 128);
+  trainer_config.negatives_per_positive = flags.GetSize("negatives", 2);
   trainer_config.optimizer.learning_rate = flags.GetDouble("lr", 0.03);
   trainer_config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   trainer_config.log_every_epochs = 5;
@@ -238,7 +235,7 @@ int Tune(const Flags& flags) {
   model_config.num_relations = dataset.value().num_relations();
   model_config.embedding_dim = 32;
   TrainerConfig trainer_config;
-  trainer_config.epochs = static_cast<size_t>(flags.GetInt("epochs", 10));
+  trainer_config.epochs = flags.GetSize("epochs", 10);
   trainer_config.loss = kind.value() == ModelKind::kTransE
                             ? LossKind::kMarginRanking
                             : LossKind::kSoftplus;
@@ -247,8 +244,12 @@ int Tune(const Flags& flags) {
   GridSearchSpace space;
   for (const std::string& v :
        Split(flags.GetString("dims", "16,32"), ',')) {
-    space.embedding_dims.push_back(
-        static_cast<size_t>(std::strtoll(v.c_str(), nullptr, 10)));
+    const int64_t dim = std::move(ParseInt64(v)).ValueOrDie("--dims entry");
+    if (dim < 0) {
+      Status::InvalidArgument("--dims entries must be >= 0, got " + v)
+          .AbortIfNotOk("command line");
+    }
+    space.embedding_dims.push_back(static_cast<size_t>(dim));
   }
   for (const std::string& v :
        Split(flags.GetString("lrs", "0.01,0.05"), ',')) {
@@ -310,7 +311,7 @@ int Eval(const Flags& flags) {
   table.AddRow({"ranks", Table::Fmt(metrics.value().num_ranks)});
   std::printf("%s", table.ToAscii().c_str());
 
-  const size_t buckets = static_cast<size_t>(flags.GetInt("buckets", 0));
+  const size_t buckets = flags.GetSize("buckets", 0);
   if (buckets > 1) {
     auto stratified = EvaluateByPopularity(
         *model.value(), dataset.value(), dataset.value().test(), buckets,
@@ -348,14 +349,12 @@ int Discover(const Flags& flags) {
       "strategy", SamplingStrategyName(DefaultSamplingStrategy())));
   strategy.status().AbortIfNotOk("strategy name");
   options.strategy = strategy.value();
-  options.top_n = static_cast<size_t>(flags.GetInt("top_n", 500));
-  options.max_candidates =
-      static_cast<size_t>(flags.GetInt("max_candidates", 500));
+  options.top_n = flags.GetSize("top_n", 500);
+  options.max_candidates = flags.GetSize("max_candidates", 500);
   options.type_filter = flags.GetBool("type_filter", false);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 123));
-  options.adaptive_rounds = static_cast<size_t>(
-      flags.GetInt("adaptive_rounds",
-                   static_cast<int64_t>(options.adaptive_rounds)));
+  options.adaptive_rounds =
+      flags.GetSize("adaptive_rounds", options.adaptive_rounds);
   options.adaptive_exploration =
       flags.GetDouble("adaptive_exploration", options.adaptive_exploration);
   options.cancel = MakeCancelContext(flags);

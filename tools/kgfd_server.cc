@@ -37,10 +37,14 @@ CancellationToken& GlobalServerCancelToken() {
 }
 
 int ServerMain(const Flags& flags) {
-  const uint16_t port = static_cast<uint16_t>(flags.GetInt("port", 8080));
+  const size_t port = flags.GetSize("port", 8080);
+  if (port > 65535) {
+    std::fprintf(stderr, "--port must be in [0, 65535]\n");
+    return 1;
+  }
   const std::string bind = flags.GetString("bind", "127.0.0.1");
   const std::string work_dir = flags.GetString("work_dir", "kgfd_jobs");
-  const size_t threads = static_cast<size_t>(flags.GetInt("threads", 0));
+  const size_t threads = flags.GetSize("threads", 0);
   const int64_t max_queued = flags.GetInt("max_queued", 16);
   if (max_queued <= 0) {
     std::fprintf(stderr, "--max_queued must be positive\n");
@@ -95,7 +99,7 @@ int ServerMain(const Flags& flags) {
   DiscoveryService service(&jobs, &metrics);
   HttpServer::Options http_options;
   http_options.bind_address = bind;
-  http_options.port = port;
+  http_options.port = static_cast<uint16_t>(port);
   http_options.pool = &pool;
   http_options.metrics = &metrics;
   HttpServer server(std::move(http_options),
