@@ -1,76 +1,177 @@
 #include "core/resume.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <iterator>
+#include <functional>
 #include <mutex>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "util/crc32.h"
 #include "util/failpoint.h"
 #include "util/thread_pool.h"
 
 namespace kgfd {
 namespace {
 
-constexpr char kMagic[8] = {'K', 'G', 'F', 'D', 'R', 'S', 'U', 'M'};
-// Version 2 appends a CRC-32 trailer over everything before it, so loads
-// reject truncated or bit-flipped manifests instead of parsing garbage.
-// Version 3 adds the ADAPTIVE fingerprint fields (rounds, exploration) and
-// the per-relation partial-round section that makes bandit rounds the
-// checkpoint unit.
-constexpr uint32_t kFormatVersion = 3;
+// Version 4 is the first append-only log; earlier manifests are refused by
+// version.
+constexpr FramedFormat kManifestFormat{"KGFDRSUM", 4, "resume manifest"};
 
-void WriteU64(std::ostream& out, uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
+enum class ManifestRecord : uint8_t {
+  kHeader = 1,        // the fingerprint; always the first record
+  kRelationDone = 2,  // relation, num_candidates, facts
+  kRound = 3,         // relation, round, arm, num_candidates, facts
+};
 
-void WriteU32(std::ostream& out, uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteDouble(std::ostream& out, double v) {
-  WriteU64(out, std::bit_cast<uint64_t>(v));
-}
-
-void WriteString(std::ostream& out, const std::string& s) {
-  WriteU64(out, s.size());
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-Result<uint64_t> ReadU64(std::istream& in) {
-  uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!in) return Status::IoError("truncated resume manifest");
-  return v;
-}
-
-Result<uint32_t> ReadU32(std::istream& in) {
-  uint32_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!in) return Status::IoError("truncated resume manifest");
-  return v;
-}
-
-Result<double> ReadDouble(std::istream& in) {
-  KGFD_ASSIGN_OR_RETURN(uint64_t bits, ReadU64(in));
-  return std::bit_cast<double>(bits);
-}
-
-Result<std::string> ReadString(std::istream& in) {
-  KGFD_ASSIGN_OR_RETURN(uint64_t n, ReadU64(in));
-  if (n > (1ULL << 20)) {
-    return Status::IoError("corrupt resume manifest string");
+void PutFacts(std::string* out, const std::vector<DiscoveredFact>& facts) {
+  Put(out, facts.size());
+  for (const DiscoveredFact& fact : facts) {
+    Put(out, fact.triple.subject);
+    Put(out, fact.triple.relation);
+    Put(out, fact.triple.object);
+    Put(out, fact.rank);
+    Put(out, fact.subject_rank);
+    Put(out, fact.object_rank);
   }
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  if (!in) return Status::IoError("truncated resume manifest");
-  return s;
+}
+
+bool GetFacts(PayloadReader* in, std::vector<DiscoveredFact>* facts) {
+  constexpr size_t kFactBytes = 3 * sizeof(uint32_t) + 3 * sizeof(double);
+  uint64_t n = 0;
+  if (!in->Get(&n) || n > in->remaining() / kFactBytes) return false;
+  facts->resize(n);
+  for (DiscoveredFact& fact : *facts) {
+    if (!in->Get(&fact.triple.subject) ||
+        !in->Get(&fact.triple.relation) ||
+        !in->Get(&fact.triple.object) || !in->Get(&fact.rank) ||
+        !in->Get(&fact.subject_rank) ||
+        !in->Get(&fact.object_rank)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::string EncodeHeader(const ResumeManifest& m) {
+  std::string out;
+  Put(&out, static_cast<uint8_t>(ManifestRecord::kHeader));
+  PutString(&out, m.model_name);
+  Put(&out, m.model_param_hash);
+  Put(&out, m.num_entities);
+  Put(&out, m.num_relations);
+  Put(&out, m.num_triples);
+  Put(&out, m.seed);
+  PutString(&out, m.strategy);
+  Put(&out, m.top_n);
+  Put(&out, m.max_candidates);
+  Put(&out, m.max_iterations);
+  Put(&out, m.filtered_ranking);
+  Put(&out, m.cache_weights);
+  Put(&out, m.type_filter);
+  Put(&out, m.rank_aggregation);
+  Put(&out, m.adaptive_rounds);
+  Put(&out, m.adaptive_exploration);
+  Put(&out, m.relations.size());
+  for (RelationId r : m.relations) Put(&out, r);
+  return out;
+}
+
+bool DecodeHeader(PayloadReader* in, ResumeManifest* m) {
+  uint64_t num_relations = 0;
+  if (!in->GetString(&m->model_name) || !in->Get(&m->model_param_hash) ||
+      !in->Get(&m->num_entities) || !in->Get(&m->num_relations) ||
+      !in->Get(&m->num_triples) || !in->Get(&m->seed) ||
+      !in->GetString(&m->strategy) || !in->Get(&m->top_n) ||
+      !in->Get(&m->max_candidates) || !in->Get(&m->max_iterations) ||
+      !in->Get(&m->filtered_ranking) || !in->Get(&m->cache_weights) ||
+      !in->Get(&m->type_filter) || !in->Get(&m->rank_aggregation) ||
+      !in->Get(&m->adaptive_rounds) ||
+      !in->Get(&m->adaptive_exploration) ||
+      !in->Get(&num_relations) ||
+      num_relations > in->remaining() / sizeof(uint32_t)) {
+    return false;
+  }
+  m->relations.resize(num_relations);
+  for (RelationId& r : m->relations) {
+    if (!in->Get(&r)) return false;
+  }
+  return true;
+}
+
+/// Applies one manifest record in log order. Refuses (ending the replay
+/// there) anything a well-formed log cannot hold: a first record that is
+/// not the header or a second header, a relation finished twice, a round
+/// out of order or for a finished relation, a malformed payload.
+bool ApplyRecord(std::string_view payload, bool* have_header,
+                 ResumeManifest* m) {
+  PayloadReader in{payload};
+  uint8_t type = 0;
+  if (!in.Get(&type)) return false;
+  if (type == static_cast<uint8_t>(ManifestRecord::kHeader)) {
+    if (*have_header || !DecodeHeader(&in, m)) return false;
+    *have_header = true;
+    return in.remaining() == 0;
+  }
+  RelationId relation = 0;
+  if (!*have_header || !in.Get(&relation)) return false;
+  for (const RelationCheckpointEntry& done : m->done) {
+    if (done.relation == relation) return false;
+  }
+  if (type == static_cast<uint8_t>(ManifestRecord::kRelationDone)) {
+    RelationCheckpointEntry entry;
+    entry.relation = relation;
+    if (!in.Get(&entry.num_candidates) || !GetFacts(&in, &entry.facts) ||
+        in.remaining() != 0) {
+      return false;
+    }
+    m->done.push_back(std::move(entry));
+    // A finished relation's rounds are subsumed by its done record.
+    std::erase_if(m->partial, [relation](const AdaptiveRelationPartial& p) {
+      return p.relation == relation;
+    });
+    return true;
+  }
+  if (type != static_cast<uint8_t>(ManifestRecord::kRound)) return false;
+  static_assert(sizeof(size_t) == sizeof(uint64_t));
+  AdaptiveRoundRecord round;
+  if (!in.Get(&round.round) || !in.GetString(&round.arm) ||
+      !in.Get(&round.num_candidates) || !GetFacts(&in, &round.facts) ||
+      in.remaining() != 0) {
+    return false;
+  }
+  auto partial = std::find_if(
+      m->partial.begin(), m->partial.end(),
+      [relation](const AdaptiveRelationPartial& p) {
+        return p.relation == relation;
+      });
+  const bool first = partial == m->partial.end();
+  // Rounds replay through the scheduler by index, so index == round.
+  if (round.round != (first ? 0 : partial->rounds.size())) return false;
+  if (first) partial = m->partial.insert(partial, {relation, {}});
+  partial->rounds.push_back(std::move(round));
+  return true;
+}
+
+/// Replays a whole manifest log through `replay` (ReadFramedFile or
+/// FramedLog::Open) into a fresh manifest.
+template <typename Replay>
+Result<ResumeManifest> ReplayManifest(const std::string& path,
+                                      const Replay& replay) {
+  KGFD_FAIL_POINT(kFailPointResumeLoad);
+  ResumeManifest m;
+  bool have_header = false;
+  KGFD_RETURN_NOT_OK(replay([&](std::string_view payload) {
+    return ApplyRecord(payload, &have_header, &m);
+  }));
+  if (!have_header) {
+    return Status::IoError(
+        "resume manifest header record is truncated or fails its checksum "
+        "(delete the manifest to start over): " +
+        path);
+  }
+  return m;
 }
 
 bool FileExists(const std::string& path) {
@@ -182,215 +283,62 @@ Status CheckManifestCompatible(const ResumeManifest& loaded,
   return Status::OK();
 }
 
-Status SaveResumeManifest(const ResumeManifest& manifest,
-                          const std::string& path) {
-  KGFD_FAIL_POINT(kFailPointResumeSave);
-  // Serialize into memory first so the CRC-32 trailer can cover every byte
-  // before it; the file write then becomes payload + trailer in one go.
-  std::ostringstream out(std::ios::binary);
-  {
-    out.write(kMagic, sizeof(kMagic));
-    WriteU32(out, kFormatVersion);
-    WriteString(out, manifest.model_name);
-    WriteU64(out, manifest.model_param_hash);
-    WriteU64(out, manifest.num_entities);
-    WriteU64(out, manifest.num_relations);
-    WriteU64(out, manifest.num_triples);
-    WriteU64(out, manifest.seed);
-    WriteString(out, manifest.strategy);
-    WriteU64(out, manifest.top_n);
-    WriteU64(out, manifest.max_candidates);
-    WriteU64(out, manifest.max_iterations);
-    WriteU32(out, (static_cast<uint32_t>(manifest.filtered_ranking) << 0) |
-                      (static_cast<uint32_t>(manifest.cache_weights) << 8) |
-                      (static_cast<uint32_t>(manifest.type_filter) << 16) |
-                      (static_cast<uint32_t>(manifest.rank_aggregation)
-                       << 24));
-    WriteU64(out, manifest.adaptive_rounds);
-    WriteDouble(out, manifest.adaptive_exploration);
-    WriteU64(out, manifest.relations.size());
-    for (RelationId r : manifest.relations) WriteU32(out, r);
-    WriteU64(out, manifest.done.size());
-    for (const RelationCheckpointEntry& entry : manifest.done) {
-      WriteU32(out, entry.relation);
-      WriteU64(out, entry.num_candidates);
-      WriteU64(out, entry.facts.size());
-      for (const DiscoveredFact& fact : entry.facts) {
-        WriteU32(out, fact.triple.subject);
-        WriteU32(out, fact.triple.relation);
-        WriteU32(out, fact.triple.object);
-        WriteDouble(out, fact.rank);
-        WriteDouble(out, fact.subject_rank);
-        WriteDouble(out, fact.object_rank);
-      }
-    }
-    WriteU64(out, manifest.partial.size());
-    for (const AdaptiveRelationPartial& partial : manifest.partial) {
-      WriteU32(out, partial.relation);
-      WriteU64(out, partial.rounds.size());
-      for (const AdaptiveRoundRecord& round : partial.rounds) {
-        WriteU64(out, round.round);
-        WriteString(out, round.arm);
-        WriteU64(out, round.num_candidates);
-        WriteU64(out, round.facts.size());
-        for (const DiscoveredFact& fact : round.facts) {
-          WriteU32(out, fact.triple.subject);
-          WriteU32(out, fact.triple.relation);
-          WriteU32(out, fact.triple.object);
-          WriteDouble(out, fact.rank);
-          WriteDouble(out, fact.subject_rank);
-          WriteDouble(out, fact.object_rank);
-        }
-      }
-    }
-  }
-  const std::string payload = out.str();
-  const uint32_t crc = Crc32(payload);
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) return Status::IoError("cannot open for writing: " + tmp);
-    file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    WriteU32(file, crc);
-    file.flush();
-    if (!file) return Status::IoError("write failed: " + tmp);
-  }
-  // Atomic publish: readers see either the old manifest or the new one,
-  // never a torn write.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IoError("rename failed: " + tmp + " -> " + path);
-  }
-  return Status::OK();
+Result<ResumeManifest> LoadResumeManifest(const std::string& path) {
+  return ReplayManifest(path, [&path](const FramedRecordFn& on_record) {
+    return ReadFramedFile(path, kManifestFormat, on_record).status();
+  });
 }
 
-Result<ResumeManifest> LoadResumeManifest(const std::string& path) {
-  KGFD_FAIL_POINT(kFailPointResumeLoad);
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open: " + path);
-  std::string data((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  if (!file.good() && !file.eof()) {
-    return Status::IoError("read failed: " + path);
-  }
-  // Verify before parsing: magic, then the CRC-32 trailer over everything
-  // preceding it. A failed check means truncation or corruption — nothing
-  // past this point ever parses unchecksummed bytes.
-  if (data.size() < sizeof(kMagic) + 2 * sizeof(uint32_t)) {
-    return Status::IoError("truncated resume manifest: " + path);
-  }
-  if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::IoError("not a kgfd resume manifest: " + path);
-  }
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, data.data() + data.size() - sizeof(uint32_t),
-              sizeof(uint32_t));
-  const uint32_t actual_crc = Crc32(data.data(), data.size() - sizeof(uint32_t));
-  if (stored_crc != actual_crc) {
-    return Status::IoError(
-        "resume manifest checksum mismatch (truncated or corrupted): " +
-        path);
-  }
-  std::istringstream in(data.substr(0, data.size() - sizeof(uint32_t)),
-                        std::ios::binary);
-  in.ignore(sizeof(kMagic));
-  KGFD_ASSIGN_OR_RETURN(uint32_t version, ReadU32(in));
-  if (version != kFormatVersion) {
-    return Status::IoError("unsupported resume manifest version");
-  }
-  ResumeManifest m;
-  KGFD_ASSIGN_OR_RETURN(m.model_name, ReadString(in));
-  KGFD_ASSIGN_OR_RETURN(m.model_param_hash, ReadU64(in));
-  KGFD_ASSIGN_OR_RETURN(m.num_entities, ReadU64(in));
-  KGFD_ASSIGN_OR_RETURN(m.num_relations, ReadU64(in));
-  KGFD_ASSIGN_OR_RETURN(m.num_triples, ReadU64(in));
-  KGFD_ASSIGN_OR_RETURN(m.seed, ReadU64(in));
-  KGFD_ASSIGN_OR_RETURN(m.strategy, ReadString(in));
-  KGFD_ASSIGN_OR_RETURN(m.top_n, ReadU64(in));
-  KGFD_ASSIGN_OR_RETURN(m.max_candidates, ReadU64(in));
-  KGFD_ASSIGN_OR_RETURN(m.max_iterations, ReadU64(in));
-  KGFD_ASSIGN_OR_RETURN(uint32_t flags, ReadU32(in));
-  m.filtered_ranking = static_cast<uint8_t>(flags & 0xFF);
-  m.cache_weights = static_cast<uint8_t>((flags >> 8) & 0xFF);
-  m.type_filter = static_cast<uint8_t>((flags >> 16) & 0xFF);
-  m.rank_aggregation = static_cast<uint8_t>((flags >> 24) & 0xFF);
-  KGFD_ASSIGN_OR_RETURN(m.adaptive_rounds, ReadU64(in));
-  KGFD_ASSIGN_OR_RETURN(m.adaptive_exploration, ReadDouble(in));
-  KGFD_ASSIGN_OR_RETURN(uint64_t num_relations, ReadU64(in));
-  if (num_relations > (1ULL << 32)) {
-    return Status::IoError("corrupt resume manifest relation count");
-  }
-  m.relations.reserve(num_relations);
-  for (uint64_t i = 0; i < num_relations; ++i) {
-    KGFD_ASSIGN_OR_RETURN(uint32_t r, ReadU32(in));
-    m.relations.push_back(r);
-  }
-  KGFD_ASSIGN_OR_RETURN(uint64_t num_done, ReadU64(in));
-  if (num_done > num_relations) {
-    return Status::IoError("corrupt resume manifest entry count");
-  }
-  m.done.reserve(num_done);
-  for (uint64_t i = 0; i < num_done; ++i) {
-    RelationCheckpointEntry entry;
-    KGFD_ASSIGN_OR_RETURN(entry.relation, ReadU32(in));
-    KGFD_ASSIGN_OR_RETURN(entry.num_candidates, ReadU64(in));
-    KGFD_ASSIGN_OR_RETURN(uint64_t num_facts, ReadU64(in));
-    if (num_facts > (1ULL << 32)) {
-      return Status::IoError("corrupt resume manifest fact count");
-    }
-    entry.facts.reserve(num_facts);
-    for (uint64_t f = 0; f < num_facts; ++f) {
-      DiscoveredFact fact;
-      KGFD_ASSIGN_OR_RETURN(fact.triple.subject, ReadU32(in));
-      KGFD_ASSIGN_OR_RETURN(fact.triple.relation, ReadU32(in));
-      KGFD_ASSIGN_OR_RETURN(fact.triple.object, ReadU32(in));
-      KGFD_ASSIGN_OR_RETURN(fact.rank, ReadDouble(in));
-      KGFD_ASSIGN_OR_RETURN(fact.subject_rank, ReadDouble(in));
-      KGFD_ASSIGN_OR_RETURN(fact.object_rank, ReadDouble(in));
-      entry.facts.push_back(fact);
-    }
-    m.done.push_back(std::move(entry));
-  }
-  KGFD_ASSIGN_OR_RETURN(uint64_t num_partial, ReadU64(in));
-  if (num_partial > num_relations) {
-    return Status::IoError("corrupt resume manifest partial count");
-  }
-  m.partial.reserve(num_partial);
-  for (uint64_t i = 0; i < num_partial; ++i) {
-    AdaptiveRelationPartial partial;
-    KGFD_ASSIGN_OR_RETURN(partial.relation, ReadU32(in));
-    KGFD_ASSIGN_OR_RETURN(uint64_t num_rounds, ReadU64(in));
-    if (num_rounds > (1ULL << 20)) {
-      return Status::IoError("corrupt resume manifest round count");
-    }
-    partial.rounds.reserve(num_rounds);
-    for (uint64_t k = 0; k < num_rounds; ++k) {
-      AdaptiveRoundRecord round;
-      KGFD_ASSIGN_OR_RETURN(uint64_t round_number, ReadU64(in));
-      round.round = round_number;
-      KGFD_ASSIGN_OR_RETURN(round.arm, ReadString(in));
-      KGFD_ASSIGN_OR_RETURN(uint64_t round_candidates, ReadU64(in));
-      round.num_candidates = round_candidates;
-      KGFD_ASSIGN_OR_RETURN(uint64_t num_facts, ReadU64(in));
-      if (num_facts > (1ULL << 32)) {
-        return Status::IoError("corrupt resume manifest fact count");
-      }
-      round.facts.reserve(num_facts);
-      for (uint64_t f = 0; f < num_facts; ++f) {
-        DiscoveredFact fact;
-        KGFD_ASSIGN_OR_RETURN(fact.triple.subject, ReadU32(in));
-        KGFD_ASSIGN_OR_RETURN(fact.triple.relation, ReadU32(in));
-        KGFD_ASSIGN_OR_RETURN(fact.triple.object, ReadU32(in));
-        KGFD_ASSIGN_OR_RETURN(fact.rank, ReadDouble(in));
-        KGFD_ASSIGN_OR_RETURN(fact.subject_rank, ReadDouble(in));
-        KGFD_ASSIGN_OR_RETURN(fact.object_rank, ReadDouble(in));
-        round.facts.push_back(fact);
-      }
-      partial.rounds.push_back(std::move(round));
-    }
-    m.partial.push_back(std::move(partial));
-  }
-  return m;
+Result<std::unique_ptr<ResumeManifestWriter>> ResumeManifestWriter::Create(
+    const std::string& path, const ResumeManifest& header) {
+  KGFD_FAIL_POINT(kFailPointResumeSave);
+  KGFD_ASSIGN_OR_RETURN(
+      std::unique_ptr<FramedLog> log,
+      FramedLog::Create(path, kManifestFormat, {EncodeHeader(header)},
+                        /*sync=*/false,
+                        FramedLog::Options{false, kFailPointResumeSave}));
+  return std::unique_ptr<ResumeManifestWriter>(
+      new ResumeManifestWriter(std::move(log)));
+}
+
+Result<std::unique_ptr<ResumeManifestWriter>> ResumeManifestWriter::Open(
+    const std::string& path, ResumeManifest* manifest) {
+  std::unique_ptr<FramedLog> log;
+  KGFD_ASSIGN_OR_RETURN(
+      *manifest,
+      ReplayManifest(path, [&](const FramedRecordFn& on_record) {
+        uint64_t truncated_bytes = 0;
+        auto opened = FramedLog::Open(
+            path, kManifestFormat, on_record,
+            FramedLog::Options{false, kFailPointResumeSave},
+            &truncated_bytes);
+        if (opened.ok()) log = std::move(opened).value();
+        return opened.status();
+      }));
+  return std::unique_ptr<ResumeManifestWriter>(
+      new ResumeManifestWriter(std::move(log)));
+}
+
+Status ResumeManifestWriter::AppendRelation(
+    const RelationCheckpointEntry& entry) {
+  std::string payload;
+  Put(&payload, static_cast<uint8_t>(ManifestRecord::kRelationDone));
+  Put(&payload, entry.relation);
+  Put(&payload, entry.num_candidates);
+  PutFacts(&payload, entry.facts);
+  return log_->Append(payload);
+}
+
+Status ResumeManifestWriter::AppendRound(RelationId relation,
+                                         const AdaptiveRoundRecord& round) {
+  std::string payload;
+  Put(&payload, static_cast<uint8_t>(ManifestRecord::kRound));
+  Put(&payload, relation);
+  Put(&payload, round.round);
+  PutString(&payload, round.arm);
+  Put(&payload, round.num_candidates);
+  PutFacts(&payload, round.facts);
+  return log_->Append(payload);
 }
 
 Result<DiscoveryResult> DiscoverFactsResumable(const Model& model,
@@ -422,8 +370,10 @@ Result<DiscoveryResult> DiscoverFactsResumable(const Model& model,
       MakeManifestHeader(mutable_model, kg, options, relations);
 
   ResumeManifest manifest;
+  std::unique_ptr<ResumeManifestWriter> writer;
   if (FileExists(resume.manifest_path)) {
-    KGFD_ASSIGN_OR_RETURN(manifest, LoadResumeManifest(resume.manifest_path));
+    KGFD_ASSIGN_OR_RETURN(
+        writer, ResumeManifestWriter::Open(resume.manifest_path, &manifest));
     KGFD_RETURN_NOT_OK(CheckManifestCompatible(manifest, header));
   } else {
     manifest = header;
@@ -431,8 +381,11 @@ Result<DiscoveryResult> DiscoverFactsResumable(const Model& model,
     // before hours of work, and makes a restart-before-first-relation
     // resumable too.
     KGFD_RETURN_NOT_OK(RetryStatus(
-        resume.save_retry, "SaveResumeManifest", [&manifest, &resume]() {
-          return SaveResumeManifest(manifest, resume.manifest_path);
+        resume.save_retry, "CreateResumeManifest", [&]() {
+          auto created =
+              ResumeManifestWriter::Create(resume.manifest_path, header);
+          if (created.ok()) writer = std::move(created).value();
+          return created.status();
         }));
   }
 
@@ -446,54 +399,40 @@ Result<DiscoveryResult> DiscoverFactsResumable(const Model& model,
     if (done.find(r) == done.end()) remaining.push_back(r);
   }
 
-  // Completed relations stream into the manifest as they finish; the lock
-  // serializes manifest mutation + atomic rewrite across pool workers.
+  // Completed relations and rounds are appended to the manifest as they
+  // finish; the lock serializes appends across pool workers. After the
+  // first failed append nothing more is appended: a later round behind a
+  // missing one would break the manifest's round order.
   std::mutex manifest_mu;
   Status save_error;  // first persistence failure, surfaced after the run
+  auto append_locked = [&](const std::function<Status()>& append) {
+    if (!save_error.ok()) return;
+    save_error =
+        RetryStatus(resume.save_retry, "AppendResumeManifest", append);
+  };
   DiscoveryOptions live_options = options;
   live_options.relations = remaining;
-  const bool adaptive = options.strategy == SamplingStrategy::kAdaptive;
 
   // ADAPTIVE: hand the restored round history of still-unfinished relations
   // to DiscoverFacts for replay, and persist every live round as it
-  // finishes — rounds, not relations, are the checkpoint unit.
+  // finishes — rounds, not relations, are the checkpoint unit. Live rounds
+  // continue the recorded ones, so their round numbers extend the log's.
   AdaptiveResumeState adaptive_state;
   const auto chained_round_callback = options.on_round_complete;
-  if (adaptive) {
-    for (const AdaptiveRelationPartial& partial : manifest.partial) {
-      if (done.find(partial.relation) == done.end()) {
-        adaptive_state.rounds.emplace(partial.relation, partial.rounds);
-      }
+  if (options.strategy == SamplingStrategy::kAdaptive) {
+    for (AdaptiveRelationPartial& partial : manifest.partial) {
+      adaptive_state.rounds.emplace(partial.relation,
+                                    std::move(partial.rounds));
     }
     live_options.adaptive_resume = &adaptive_state;
     live_options.on_round_complete =
         [&](AdaptiveRoundCompletion&& completion) {
           {
             std::lock_guard<std::mutex> lock(manifest_mu);
-            AdaptiveRelationPartial* slot = nullptr;
-            for (AdaptiveRelationPartial& partial : manifest.partial) {
-              if (partial.relation == completion.relation) {
-                slot = &partial;
-                break;
-              }
-            }
-            if (slot == nullptr) {
-              manifest.partial.emplace_back();
-              slot = &manifest.partial.back();
-              slot->relation = completion.relation;
-              // Live rounds follow the replayed prefix, so the restored
-              // rounds must be re-seated first for index == round number to
-              // hold on the next resume.
-              auto it = adaptive_state.rounds.find(completion.relation);
-              if (it != adaptive_state.rounds.end()) slot->rounds = it->second;
-            }
-            slot->rounds.push_back(completion.record);
-            const Status status = RetryStatus(
-                resume.save_retry, "SaveResumeManifest",
-                [&manifest, &resume]() {
-                  return SaveResumeManifest(manifest, resume.manifest_path);
-                });
-            if (!status.ok() && save_error.ok()) save_error = status;
+            append_locked([&] {
+              return writer->AppendRound(completion.relation,
+                                         completion.record);
+            });
           }
           if (chained_round_callback) {
             chained_round_callback(std::move(completion));
@@ -509,20 +448,8 @@ Result<DiscoveryResult> DiscoverFactsResumable(const Model& model,
       entry.relation = completion.relation;
       entry.num_candidates = completion.num_candidates;
       entry.facts = completion.facts;
+      append_locked([&] { return writer->AppendRelation(entry); });
       manifest.done.push_back(std::move(entry));
-      // A completed relation's rounds are subsumed by its `done` entry.
-      for (size_t i = 0; i < manifest.partial.size(); ++i) {
-        if (manifest.partial[i].relation == completion.relation) {
-          manifest.partial.erase(manifest.partial.begin() +
-                                 static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
-      const Status status = RetryStatus(
-          resume.save_retry, "SaveResumeManifest", [&manifest, &resume]() {
-            return SaveResumeManifest(manifest, resume.manifest_path);
-          });
-      if (!status.ok() && save_error.ok()) save_error = status;
     }
     if (chained_callback) chained_callback(std::move(completion));
   };

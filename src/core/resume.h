@@ -2,23 +2,31 @@
 #define KGFD_CORE_RESUME_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/discovery.h"
 #include "kg/triple_store.h"
 #include "kge/model.h"
+#include "util/framed_log.h"
 #include "util/retry.h"
 #include "util/status.h"
 
 namespace kgfd {
 
 /// Checkpoint/resume for long discovery sweeps: DiscoverFactsResumable
-/// persists a *resume manifest* after every completed relation, so a run
-/// killed by a crash, OOM, or I/O failure restarts from the last finished
-/// relation instead of from scratch — and, because each relation draws from
-/// its own seed-derived RNG stream, the resumed run's fact set is
-/// bit-identical to an uninterrupted run's.
+/// appends every completed relation to a *resume manifest*, so a run killed
+/// by a crash, OOM, or I/O failure restarts from the last finished relation
+/// instead of from scratch — and, because each relation draws from its own
+/// seed-derived RNG stream, the resumed run's fact set is bit-identical to
+/// an uninterrupted run's.
+///
+/// The manifest is an append-only framed log (util/framed_log.h): one
+/// header record holding the fingerprint, then one record per finished
+/// relation and, for ADAPTIVE, one per finished bandit round. Loading
+/// replays the log; a torn or corrupt tail loses only the records after
+/// the last whole one.
 
 /// One completed relation as recorded in the manifest.
 struct RelationCheckpointEntry {
@@ -37,10 +45,11 @@ struct AdaptiveRelationPartial {
   std::vector<AdaptiveRoundRecord> rounds;
 };
 
-/// On-disk resume state: a fingerprint of everything the output depends on
-/// (model identity and parameters, graph shape, discovery options, relation
-/// order) plus the per-relation results completed so far. Loading validates
-/// the format; CheckManifestCompatible validates the fingerprint.
+/// Resume state replayed from a manifest: a fingerprint of everything the
+/// output depends on (model identity and parameters, graph shape, discovery
+/// options, relation order) plus the per-relation results completed so
+/// far. Loading validates the format; CheckManifestCompatible validates the
+/// fingerprint.
 struct ResumeManifest {
   // -- Fingerprint ---------------------------------------------------------
   std::string model_name;
@@ -90,14 +99,37 @@ ResumeManifest MakeManifestHeader(Model* model, const TripleStore& kg,
 Status CheckManifestCompatible(const ResumeManifest& loaded,
                                const ResumeManifest& expected);
 
-/// Atomically persists the manifest: writes `path`.tmp, then renames over
-/// `path`, so a crash mid-write never clobbers the previous good manifest.
-Status SaveResumeManifest(const ResumeManifest& manifest,
-                          const std::string& path);
-
-/// Loads a manifest written by SaveResumeManifest (binary format; doubles
-/// round-trip bit-exactly).
+/// Replays the manifest log at `path` without changing it (doubles
+/// round-trip bit-exactly). Records after a torn or corrupt one are not
+/// loaded; a file without an intact header record is an IoError.
 Result<ResumeManifest> LoadResumeManifest(const std::string& path);
+
+/// The append side of a manifest log. Not thread-safe: the caller
+/// serializes appends.
+class ResumeManifestWriter {
+ public:
+  /// Creates `path` (tmp + rename) holding only `header`'s fingerprint;
+  /// its progress fields are ignored.
+  static Result<std::unique_ptr<ResumeManifestWriter>> Create(
+      const std::string& path, const ResumeManifest& header);
+
+  /// Replays the existing manifest at `path` into `manifest` and truncates
+  /// the file back to its last whole record, so appends continue there.
+  static Result<std::unique_ptr<ResumeManifestWriter>> Open(
+      const std::string& path, ResumeManifest* manifest);
+
+  /// One finished relation; on replay it supersedes the relation's rounds.
+  Status AppendRelation(const RelationCheckpointEntry& entry);
+  /// One finished ADAPTIVE round; `round.round` must equal the number of
+  /// rounds already recorded for `relation`.
+  Status AppendRound(RelationId relation, const AdaptiveRoundRecord& round);
+
+ private:
+  explicit ResumeManifestWriter(std::unique_ptr<FramedLog> log)
+      : log_(std::move(log)) {}
+
+  std::unique_ptr<FramedLog> log_;
+};
 
 /// Controls DiscoverFactsResumable.
 struct ResumeOptions {
@@ -105,7 +137,7 @@ struct ResumeOptions {
   /// created otherwise. Left in place on success, so re-running a finished
   /// job is a cheap no-op that returns the same facts.
   std::string manifest_path;
-  /// Retry policy for manifest saves (a transiently failing checkpoint
+  /// Retry policy for manifest writes (a transiently failing checkpoint
   /// write should not kill an hours-long sweep).
   RetryPolicy save_retry;
 };
@@ -131,7 +163,7 @@ struct ResumeOptions {
 /// too.
 ///
 /// strategy=ADAPTIVE refines the checkpoint unit from relations to bandit
-/// rounds: every finished round is persisted under `partial`, and a resumed
+/// rounds: every finished round is appended to the manifest, and a resumed
 /// run replays the recorded rounds (no re-ranking, scheduler state
 /// re-derived exactly) before playing the rest live — so a kill mid-relation
 /// loses at most one round of ranking work and the resumed fact set stays

@@ -2,24 +2,22 @@
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 
 #include "kge/models/pair_embedding_model.h"
 #include "util/crc32.h"
 #include "util/failpoint.h"
+#include "util/framed_log.h"
 
 namespace kgfd {
 namespace {
 
 constexpr char kMagic[8] = {'K', 'G', 'F', 'D', 'C', 'K', 'P', 'T'};
-// Version 2: one in-memory blob with a CRC-32 trailer. Version 3 keeps the
-// trailer but splits the file into a CRC-guarded header (with a tensor
-// directory) and aligned payload sections, so loads can verify and map the
-// header without touching payload bytes: the entity table starts on a
-// 4096-byte page boundary and every section on a 64-byte boundary, which
-// lets the mmap backend attach tensors zero-copy.
-constexpr uint32_t kFormatV2 = 2;
+// Version 3 splits the file into a CRC-guarded header (with a tensor
+// directory) and aligned payload sections, plus a whole-file CRC-32
+// trailer, so loads can verify and map the header without touching payload
+// bytes: the entity table starts on a 4096-byte page boundary and every
+// section on a 64-byte boundary, which lets the mmap backend attach
+// tensors zero-copy. Earlier versions are refused.
 constexpr uint32_t kFormatV3 = 3;
 // magic + u32 version + u64 header size.
 constexpr size_t kFixedHead = sizeof(kMagic) + sizeof(uint32_t) +
@@ -29,64 +27,6 @@ constexpr uint64_t kPageAlign = 4096;
 constexpr uint64_t kMaxTensorSections = 256;
 
 uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) / a * a; }
-
-void AppendU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void AppendString(std::string* out, const std::string& s) {
-  AppendU64(out, s.size());
-  out->append(s);
-}
-
-/// Bounds-checked little-endian reader over a byte range. Both load paths
-/// parse through this, so a malformed length can only ever produce an
-/// IoError — never a read past the mapped or buffered range.
-class ByteReader {
- public:
-  ByteReader(const unsigned char* data, size_t size)
-      : data_(data), size_(size) {}
-
-  Result<uint64_t> ReadU64() {
-    uint64_t v = 0;
-    KGFD_RETURN_NOT_OK(ReadBytes(&v, sizeof(v)));
-    return v;
-  }
-
-  Result<uint32_t> ReadU32() {
-    uint32_t v = 0;
-    KGFD_RETURN_NOT_OK(ReadBytes(&v, sizeof(v)));
-    return v;
-  }
-
-  Result<std::string> ReadString() {
-    KGFD_ASSIGN_OR_RETURN(uint64_t n, ReadU64());
-    if (n > (1ULL << 20)) return Status::IoError("corrupt checkpoint string");
-    if (n > size_ - pos_) return Status::IoError("truncated checkpoint");
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
-  }
-
-  Status ReadBytes(void* dst, size_t n) {
-    if (n > size_ - pos_) return Status::IoError("truncated checkpoint");
-    std::memcpy(dst, data_ + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-
-  size_t pos() const { return pos_; }
-  bool AtEnd() const { return pos_ == size_; }
-
- private:
-  const unsigned char* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 /// One tensor the v3 writer serializes: float payload, or quantized codes
 /// plus per-row scale/zero-point parameters.
@@ -147,39 +87,39 @@ Status WriteV3(const std::string& model_name, const ModelConfig& config,
   std::string file;
   file.reserve(cursor + sizeof(uint32_t));
   file.append(kMagic, sizeof(kMagic));
-  AppendU32(&file, kFormatV3);
-  AppendU64(&file, blob_size);
-  AppendString(&file, model_name);
-  AppendU64(&file, config.num_entities);
-  AppendU64(&file, config.num_relations);
-  AppendU64(&file, config.embedding_dim);
-  AppendU64(&file, static_cast<uint64_t>(config.transe_norm));
-  AppendU64(&file, config.conve_num_filters);
-  AppendU64(&file, config.conve_reshape_height);
-  AppendU64(&file, sections.size());
+  Put(&file, kFormatV3);
+  Put(&file, blob_size);
+  PutString(&file, model_name);
+  Put(&file, config.num_entities);
+  Put(&file, config.num_relations);
+  Put(&file, config.embedding_dim);
+  Put(&file, static_cast<uint64_t>(config.transe_norm));
+  Put(&file, config.conve_num_filters);
+  Put(&file, config.conve_reshape_height);
+  Put(&file, sections.size());
   for (size_t i = 0; i < sections.size(); ++i) {
     const SectionSpec& s = sections[i];
-    AppendString(&file, s.name);
-    AppendU64(&file, static_cast<uint64_t>(s.dtype));
-    AppendU64(&file, s.rows);
-    AppendU64(&file, s.cols);
-    AppendU64(&file, payload_offset[i]);
-    AppendU64(&file, payload_size[i]);
-    AppendU64(&file, quant_offset[i]);
-    AppendU64(&file, quant_size[i]);
-    AppendU32(&file, Crc32(s.payload, payload_size[i]));
+    PutString(&file, s.name);
+    Put(&file, static_cast<uint64_t>(s.dtype));
+    Put(&file, s.rows);
+    Put(&file, s.cols);
+    Put(&file, payload_offset[i]);
+    Put(&file, payload_size[i]);
+    Put(&file, quant_offset[i]);
+    Put(&file, quant_size[i]);
+    Put(&file, Crc32(s.payload, payload_size[i]));
     uint32_t quant_crc = 0;
     if (s.dtype != EmbeddingDtype::kFloat32) {
       quant_crc = Crc32Update(0, s.scales, s.rows * sizeof(float));
       quant_crc = Crc32Update(quant_crc, s.zero_points,
                               s.rows * sizeof(float));
     }
-    AppendU32(&file, quant_crc);
+    Put(&file, quant_crc);
   }
   if (file.size() != kFixedHead + blob_size) {
     return Status::Internal("checkpoint header size miscomputed");
   }
-  AppendU32(&file, Crc32(file));
+  Put(&file, Crc32(file));
 
   for (size_t i : order) {
     const SectionSpec& s = sections[i];
@@ -195,18 +135,36 @@ Status WriteV3(const std::string& model_name, const ModelConfig& config,
     file.append(reinterpret_cast<const char*>(s.zero_points),
                 s.rows * sizeof(float));
   }
-  AppendU32(&file, Crc32(file));
+  Put(&file, Crc32(file));
 
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out.write(file.data(), static_cast<std::streamsize>(file.size()));
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::OK();
+  // Never rewritten in place: a live mmap load of the old file keeps its
+  // pages.
+  return WriteFileAtomic(path, file, /*sync=*/false);
 }
 
 bool SupportsQuantizedEntities(ModelKind kind) {
   return kind == ModelKind::kTransE || kind == ModelKind::kDistMult ||
          kind == ModelKind::kComplEx;
+}
+
+/// IoError unless the `size` bytes at `data` start like a v3 checkpoint:
+/// long enough for the fixed head and trailer, kgfd magic, version 3.
+Status CheckHead(const unsigned char* data, size_t size,
+                 const std::string& path) {
+  if (size < kFixedHead + sizeof(uint32_t)) {
+    return Status::IoError("truncated checkpoint: " + path);
+  }
+  if (std::memcmp(data, kMagic, sizeof(kMagic)) != 0) {
+    return Status::IoError("not a kgfd checkpoint: " + path);
+  }
+  uint32_t version = 0;
+  std::memcpy(&version, data + sizeof(kMagic), sizeof(version));
+  if (version != kFormatV3) {
+    return Status::IoError("unsupported checkpoint version " +
+                           std::to_string(version) + " (this build reads " +
+                           std::to_string(kFormatV3) + "): " + path);
+  }
+  return Status::OK();
 }
 
 /// Parses the v3 fixed head + header blob (magic already checked) and
@@ -232,43 +190,45 @@ Result<CheckpointInfo> ParseV3Header(const unsigned char* data,
   CheckpointInfo info;
   info.version = kFormatV3;
   info.header_size = blob_size;
-  ByteReader in(data + kFixedHead, blob_size);
-  KGFD_ASSIGN_OR_RETURN(info.model_name, in.ReadString());
-  KGFD_ASSIGN_OR_RETURN(uint64_t num_entities, in.ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t num_relations, in.ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t embedding_dim, in.ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t transe_norm, in.ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t conve_filters, in.ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t conve_height, in.ReadU64());
-  info.config.num_entities = num_entities;
-  info.config.num_relations = num_relations;
-  info.config.embedding_dim = embedding_dim;
+  // Bounds-checked reads: a forged length can only fail the parse, never
+  // read past the header blob.
+  PayloadReader in{std::string_view(
+      reinterpret_cast<const char*>(data) + kFixedHead, blob_size)};
+  static_assert(sizeof(size_t) == sizeof(uint64_t));
+  uint64_t transe_norm = 0;
+  uint64_t num_tensors = 0;
+  if (!in.GetString(&info.model_name) ||
+      !in.Get(&info.config.num_entities) ||
+      !in.Get(&info.config.num_relations) ||
+      !in.Get(&info.config.embedding_dim) || !in.Get(&transe_norm) ||
+      !in.Get(&info.config.conve_num_filters) ||
+      !in.Get(&info.config.conve_reshape_height) || !in.Get(&num_tensors)) {
+    return Status::IoError("truncated checkpoint header");
+  }
   info.config.transe_norm = static_cast<int>(transe_norm);
-  info.config.conve_num_filters = conve_filters;
-  info.config.conve_reshape_height = conve_height;
-  KGFD_ASSIGN_OR_RETURN(uint64_t num_tensors, in.ReadU64());
   if (num_tensors > kMaxTensorSections) {
     return Status::IoError("corrupt checkpoint header (tensor count)");
   }
   info.tensors.resize(num_tensors);
   for (CheckpointTensorInfo& t : info.tensors) {
-    KGFD_ASSIGN_OR_RETURN(t.name, in.ReadString());
-    t.fields_offset = kFixedHead + in.pos();
-    KGFD_ASSIGN_OR_RETURN(uint64_t dtype_raw, in.ReadU64());
+    uint64_t dtype_raw = 0;
+    uint32_t crc = 0;  // the section CRCs, read back by SectionCrcs
+    if (!in.GetString(&t.name)) {
+      return Status::IoError("truncated checkpoint header");
+    }
+    t.fields_offset = kFixedHead + in.at;
+    if (!in.Get(&dtype_raw) || !in.Get(&t.rows) || !in.Get(&t.cols) ||
+        !in.Get(&t.payload_offset) || !in.Get(&t.payload_size) ||
+        !in.Get(&t.quant_offset) || !in.Get(&t.quant_size) ||
+        !in.Get(&crc) || !in.Get(&crc)) {
+      return Status::IoError("truncated checkpoint header");
+    }
     if (dtype_raw > static_cast<uint64_t>(EmbeddingDtype::kInt16)) {
       return Status::IoError("unknown tensor dtype in checkpoint");
     }
     t.dtype = static_cast<EmbeddingDtype>(dtype_raw);
-    KGFD_ASSIGN_OR_RETURN(t.rows, in.ReadU64());
-    KGFD_ASSIGN_OR_RETURN(t.cols, in.ReadU64());
-    KGFD_ASSIGN_OR_RETURN(t.payload_offset, in.ReadU64());
-    KGFD_ASSIGN_OR_RETURN(t.payload_size, in.ReadU64());
-    KGFD_ASSIGN_OR_RETURN(t.quant_offset, in.ReadU64());
-    KGFD_ASSIGN_OR_RETURN(t.quant_size, in.ReadU64());
-    KGFD_RETURN_NOT_OK(in.ReadU32().status());  // payload crc
-    KGFD_RETURN_NOT_OK(in.ReadU32().status());  // quant crc
   }
-  if (!in.AtEnd()) {
+  if (in.remaining() != 0) {
     return Status::IoError("corrupt checkpoint header (trailing bytes)");
   }
   return info;
@@ -423,85 +383,18 @@ Result<LoadedModel> BuildFromV3(const CheckpointInfo& info,
   return loaded;
 }
 
-/// The legacy v2 parse (trailer CRC already verified; `in` starts after
-/// magic + version).
-Result<LoadedModel> ParseV2(ByteReader* in) {
-  KGFD_ASSIGN_OR_RETURN(std::string model_name, in->ReadString());
-  KGFD_ASSIGN_OR_RETURN(ModelKind kind, ModelKindFromName(model_name));
-  ModelConfig config;
-  KGFD_ASSIGN_OR_RETURN(uint64_t num_entities, in->ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t num_relations, in->ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t embedding_dim, in->ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t transe_norm, in->ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t conve_filters, in->ReadU64());
-  KGFD_ASSIGN_OR_RETURN(uint64_t conve_height, in->ReadU64());
-  config.num_entities = num_entities;
-  config.num_relations = num_relations;
-  config.embedding_dim = embedding_dim;
-  config.transe_norm = static_cast<int>(transe_norm);
-  config.conve_num_filters = conve_filters;
-  config.conve_reshape_height = conve_height;
-
-  KGFD_ASSIGN_OR_RETURN(auto model, CreateModelUninitialized(kind, config));
-  KGFD_ASSIGN_OR_RETURN(uint64_t num_params, in->ReadU64());
-  std::vector<NamedTensor> params = model->Parameters();
-  if (num_params != params.size()) {
-    return Status::IoError("checkpoint parameter count mismatch");
-  }
-  for (NamedTensor& p : params) {
-    KGFD_ASSIGN_OR_RETURN(std::string name, in->ReadString());
-    KGFD_ASSIGN_OR_RETURN(uint64_t rows, in->ReadU64());
-    KGFD_ASSIGN_OR_RETURN(uint64_t cols, in->ReadU64());
-    if (name != p.name || rows != p.tensor->rows() ||
-        cols != p.tensor->cols()) {
-      return Status::IoError("checkpoint tensor mismatch for " + p.name);
-    }
-    Status read = in->ReadBytes(p.tensor->data().data(),
-                                p.tensor->size() * sizeof(float));
-    if (!read.ok()) {
-      return Status::IoError("truncated checkpoint tensor " + p.name);
-    }
-  }
-  LoadedModel loaded;
-  loaded.model = std::move(model);
-  loaded.config = config;
-  return loaded;
-}
-
-/// Ram-backend load: read the whole file, verify magic + trailer CRC, then
-/// parse by version. Nothing past the CRC check ever parses unchecksummed
-/// bytes.
+/// Ram-backend load: read the whole file, verify its head and trailer CRC,
+/// then parse. Nothing past the CRC check ever parses unchecksummed bytes.
 Result<LoadedModel> LoadRam(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open: " + path);
-  std::string data((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  if (!file.good() && !file.eof()) {
-    return Status::IoError("read failed: " + path);
-  }
-  if (data.size() < kFixedHead + sizeof(uint32_t)) {
-    return Status::IoError("truncated checkpoint: " + path);
-  }
-  if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::IoError("not a kgfd checkpoint: " + path);
-  }
+  KGFD_ASSIGN_OR_RETURN(const std::string data, ReadWholeFile(path));
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  KGFD_RETURN_NOT_OK(CheckHead(bytes, data.size(), path));
   uint32_t stored_crc = 0;
   std::memcpy(&stored_crc, data.data() + data.size() - sizeof(uint32_t),
               sizeof(uint32_t));
   if (stored_crc != Crc32(data.data(), data.size() - sizeof(uint32_t))) {
     return Status::IoError(
         "checkpoint checksum mismatch (truncated or corrupted): " + path);
-  }
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
-  uint32_t version = 0;
-  std::memcpy(&version, bytes + sizeof(kMagic), sizeof(version));
-  if (version == kFormatV2) {
-    ByteReader in(bytes + sizeof(kMagic) + sizeof(uint32_t),
-                  data.size() - sizeof(kMagic) - 2 * sizeof(uint32_t));
-    return ParseV2(&in);
-  }
-  if (version != kFormatV3) {
-    return Status::IoError("unsupported checkpoint version");
   }
   KGFD_ASSIGN_OR_RETURN(CheckpointInfo info,
                         ParseV3Header(bytes, data.size()));
@@ -517,22 +410,7 @@ Result<LoadedModel> LoadRam(const std::string& path) {
 Result<LoadedModel> LoadMmap(const std::string& path,
                              bool verify_mapped_payload) {
   KGFD_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-  if (file.size() < kFixedHead + sizeof(uint32_t)) {
-    return Status::IoError("truncated checkpoint: " + path);
-  }
-  if (std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::IoError("not a kgfd checkpoint: " + path);
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, file.data() + sizeof(kMagic), sizeof(version));
-  if (version == kFormatV2) {
-    // v2 has no aligned, independently-checksummed tensor section to map;
-    // fall back to the ram path (same result, copied storage).
-    return LoadRam(path);
-  }
-  if (version != kFormatV3) {
-    return Status::IoError("unsupported checkpoint version");
-  }
+  KGFD_RETURN_NOT_OK(CheckHead(file.data(), file.size(), path));
   KGFD_ASSIGN_OR_RETURN(CheckpointInfo info,
                         ParseV3Header(file.data(), file.size()));
   KGFD_RETURN_NOT_OK(ValidateV3Directory(info, file.size()));
@@ -667,76 +545,13 @@ Result<LoadedModel> LoadModelWithConfig(const std::string& path,
 }
 
 Result<CheckpointInfo> InspectCheckpoint(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open: " + path);
-  std::string data((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  if (!file.good() && !file.eof()) {
-    return Status::IoError("read failed: " + path);
-  }
-  if (data.size() < kFixedHead + sizeof(uint32_t)) {
-    return Status::IoError("truncated checkpoint: " + path);
-  }
-  if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return Status::IoError("not a kgfd checkpoint: " + path);
-  }
+  KGFD_ASSIGN_OR_RETURN(const std::string data, ReadWholeFile(path));
   const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
-  uint32_t version = 0;
-  std::memcpy(&version, bytes + sizeof(kMagic), sizeof(version));
-  if (version == kFormatV2) {
-    CheckpointInfo info;
-    info.version = version;
-    ByteReader in(bytes + sizeof(kMagic) + sizeof(uint32_t),
-                  data.size() - sizeof(kMagic) - sizeof(uint32_t));
-    KGFD_ASSIGN_OR_RETURN(info.model_name, in.ReadString());
-    KGFD_ASSIGN_OR_RETURN(uint64_t num_entities, in.ReadU64());
-    KGFD_ASSIGN_OR_RETURN(uint64_t num_relations, in.ReadU64());
-    KGFD_ASSIGN_OR_RETURN(uint64_t embedding_dim, in.ReadU64());
-    info.config.num_entities = num_entities;
-    info.config.num_relations = num_relations;
-    info.config.embedding_dim = embedding_dim;
-    return info;
-  }
-  if (version != kFormatV3) {
-    return Status::IoError("unsupported checkpoint version");
-  }
+  KGFD_RETURN_NOT_OK(CheckHead(bytes, data.size(), path));
   KGFD_ASSIGN_OR_RETURN(CheckpointInfo info,
                         ParseV3Header(bytes, data.size()));
   KGFD_RETURN_NOT_OK(ValidateV3Directory(info, data.size()));
   return info;
 }
-
-namespace internal {
-
-Status SaveModelV2(Model* model, const ModelConfig& config,
-                   const std::string& path) {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  AppendU32(&out, kFormatV2);
-  AppendString(&out, model->name());
-  AppendU64(&out, config.num_entities);
-  AppendU64(&out, config.num_relations);
-  AppendU64(&out, config.embedding_dim);
-  AppendU64(&out, static_cast<uint64_t>(config.transe_norm));
-  AppendU64(&out, config.conve_num_filters);
-  AppendU64(&out, config.conve_reshape_height);
-  const std::vector<NamedTensor> params = model->Parameters();
-  AppendU64(&out, params.size());
-  for (const NamedTensor& p : params) {
-    AppendString(&out, p.name);
-    AppendU64(&out, p.tensor->rows());
-    AppendU64(&out, p.tensor->cols());
-    out.append(reinterpret_cast<const char*>(p.tensor->flat()),
-               p.tensor->size() * sizeof(float));
-  }
-  AppendU32(&out, Crc32(out));
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open for writing: " + path);
-  file.write(out.data(), static_cast<std::streamsize>(out.size()));
-  if (!file) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-}  // namespace internal
 
 }  // namespace kgfd

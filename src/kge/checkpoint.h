@@ -52,10 +52,9 @@ struct CheckpointInfo {
   uint32_t version = 0;
   std::string model_name;
   ModelConfig config;
-  /// v3 header blob size in bytes (the header CRC sits at file offset
-  /// 20 + header_size). Zero for v2.
+  /// Header blob size in bytes (the header CRC sits at file offset
+  /// 20 + header_size).
   uint64_t header_size = 0;
-  /// v3 only; empty for v2.
   std::vector<CheckpointTensorInfo> tensors;
 };
 
@@ -80,8 +79,8 @@ Status SaveQuantizedModel(Model* model, const ModelConfig& config,
 /// from KGFD_MMAP_VERIFY.
 Result<std::unique_ptr<Model>> LoadModel(const std::string& path);
 
-/// LoadModel with an explicit backend choice. v2 checkpoints have no
-/// mappable section and silently fall back to the ram backend.
+/// LoadModel with an explicit backend choice. Checkpoints older than v3
+/// are refused with an "unsupported checkpoint version" IoError.
 Result<std::unique_ptr<Model>> LoadModel(const std::string& path,
                                          const CheckpointLoadOptions& options);
 
@@ -91,14 +90,6 @@ Result<LoadedModel> LoadModelWithConfig(const std::string& path,
 
 /// Reads and validates checkpoint metadata without materializing a model.
 Result<CheckpointInfo> InspectCheckpoint(const std::string& path);
-
-namespace internal {
-/// Writes the legacy v2 (unaligned, single-trailer) format. Kept only so
-/// tests can cover the v2 read path and the mmap→ram fallback; production
-/// saves always write v3.
-Status SaveModelV2(Model* model, const ModelConfig& config,
-                   const std::string& path);
-}  // namespace internal
 
 }  // namespace kgfd
 

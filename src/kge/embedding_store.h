@@ -20,8 +20,7 @@ namespace kgfd {
 ///   kMmap  memory-map the file read-only and point the entity table at
 ///          the checkpoint's page-aligned tensor section (format v3)
 ///          zero-copy; small tensors are still copied. Cold-start cost is
-///          O(header), not O(file). v2 checkpoints have no mappable
-///          section and silently fall back to kRam.
+///          O(header), not O(file).
 enum class EmbeddingBackend {
   kRam,
   kMmap,

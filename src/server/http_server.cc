@@ -164,7 +164,7 @@ void HttpServer::AcceptLoop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      // EBADF/EINVAL after Stop() closed the socket: normal shutdown.
+      // EINVAL after Stop() shut the socket down: normal shutdown.
       break;
     }
     {
@@ -254,13 +254,12 @@ void HttpServer::ServeConnection(int fd) {
 void HttpServer::Stop() {
   if (!started_) return;
   stopping_.store(true, std::memory_order_release);
-  // Closing the listening socket pops the accept thread out of accept().
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // shutdown() pops the accept thread out of accept(); the fd is closed and
+  // cleared only once that thread is gone, since it reads listen_fd_.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   // Drain: every connection already accepted finishes its response.
   std::unique_lock<std::mutex> lock(mu_);
   idle_.wait(lock, [this] { return active_connections_ == 0; });

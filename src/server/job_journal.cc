@@ -1,8 +1,6 @@
 #include "server/job_journal.h"
 
 #include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,74 +9,15 @@
 #include <cstdio>
 #include <cstring>
 
-#include "util/crc32.h"
 #include "util/failpoint.h"
 
 namespace kgfd {
 namespace {
 
-constexpr char kMagic[8] = {'K', 'G', 'F', 'D', 'J', 'N', 'L', '1'};
-constexpr uint32_t kFormatVersion = 1;
-constexpr size_t kHeaderBytes = sizeof(kMagic) + sizeof(uint32_t);
-/// Sanity cap on one record's payload: larger than any legal record (the
-/// biggest field is a job config, itself capped by the HTTP 413 body
-/// limit), small enough that a corrupt length field cannot drive a huge
-/// allocation.
-constexpr uint64_t kMaxRecordBytes = 64ull << 20;
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU64(out, s.size());
-  out->append(s);
-}
-
-/// Bounds-checked reads off a payload buffer. Every Get* returns false on
-/// underrun so a corrupt (but CRC-valid, i.e. version-skewed) payload
-/// degrades to "unparseable record", never an out-of-bounds read.
-struct PayloadReader {
-  const char* data;
-  size_t size;
-  size_t at = 0;
-
-  bool GetU8(uint8_t* v) {
-    if (size - at < sizeof(*v)) return false;
-    std::memcpy(v, data + at, sizeof(*v));
-    at += sizeof(*v);
-    return true;
-  }
-  bool GetU32(uint32_t* v) {
-    if (size - at < sizeof(*v)) return false;
-    std::memcpy(v, data + at, sizeof(*v));
-    at += sizeof(*v);
-    return true;
-  }
-  bool GetU64(uint64_t* v) {
-    if (size - at < sizeof(*v)) return false;
-    std::memcpy(v, data + at, sizeof(*v));
-    at += sizeof(*v);
-    return true;
-  }
-  bool GetString(std::string* s) {
-    uint64_t n = 0;
-    if (!GetU64(&n)) return false;
-    if (n > size - at) return false;
-    s->assign(data + at, n);
-    at += n;
-    return true;
-  }
-};
-
-bool ParseRecordPayload(const char* data, size_t size, JournalRecord* out) {
-  PayloadReader in{data, size};
+bool ParseRecordPayload(std::string_view payload, JournalRecord* out) {
+  PayloadReader in{payload};
   uint8_t type = 0;
-  if (!in.GetU8(&type)) return false;
+  if (!in.Get(&type)) return false;
   switch (type) {
     case static_cast<uint8_t>(JournalRecord::Type::kSubmitted):
     case static_cast<uint8_t>(JournalRecord::Type::kStarted):
@@ -94,53 +33,14 @@ bool ParseRecordPayload(const char* data, size_t size, JournalRecord* out) {
     case JournalRecord::Type::kSubmitted:
       return in.GetString(&out->config_text);
     case JournalRecord::Type::kStarted:
-      return in.GetU32(&out->attempt);
+      return in.Get(&out->attempt);
     case JournalRecord::Type::kProgress:
-      return in.GetU64(&out->relations_done) && in.GetU64(&out->rounds_done);
+      return in.Get(&out->relations_done) && in.Get(&out->rounds_done);
     case JournalRecord::Type::kTerminal:
-      return in.GetU8(&out->terminal_state) && in.GetString(&out->error) &&
-             in.GetU64(&out->num_facts);
+      return in.Get(&out->terminal_state) && in.GetString(&out->error) &&
+             in.Get(&out->num_facts);
   }
   return false;
-}
-
-Status WriteFully(int fd, const std::string& data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n =
-        ::write(fd, data.data() + written, data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("journal write failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Result<std::string> ReadWholeFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open journal segment " + path + ": " +
-                           std::string(std::strerror(errno)));
-  }
-  std::string data;
-  char chunk[1 << 16];
-  while (true) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return Status::IoError("read failed on journal segment " + path +
-                             ": " + err);
-    }
-    if (n == 0) break;
-    data.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return data;
 }
 
 /// journal.NNNNNN.log -> NNNNNN; 0 when the name does not match.
@@ -190,47 +90,32 @@ Result<SegmentScan> ScanSegments(const std::string& dir) {
 
 }  // namespace
 
-std::string JobJournal::SegmentHeader() {
-  std::string header(kMagic, sizeof(kMagic));
-  PutU32(&header, kFormatVersion);
-  return header;
-}
-
-std::string JobJournal::EncodeRecord(const JournalRecord& record) {
+std::string JobJournal::EncodePayload(const JournalRecord& record) {
   std::string payload;
-  payload.push_back(static_cast<char>(record.type));
+  Put(&payload, static_cast<uint8_t>(record.type));
   PutString(&payload, record.job_id);
   switch (record.type) {
     case JournalRecord::Type::kSubmitted:
       PutString(&payload, record.config_text);
       break;
     case JournalRecord::Type::kStarted:
-      PutU32(&payload, record.attempt);
+      Put(&payload, record.attempt);
       break;
     case JournalRecord::Type::kProgress:
-      PutU64(&payload, record.relations_done);
-      PutU64(&payload, record.rounds_done);
+      Put(&payload, record.relations_done);
+      Put(&payload, record.rounds_done);
       break;
     case JournalRecord::Type::kTerminal:
-      payload.push_back(static_cast<char>(record.terminal_state));
+      Put(&payload, record.terminal_state);
       PutString(&payload, record.error);
-      PutU64(&payload, record.num_facts);
+      Put(&payload, record.num_facts);
       break;
   }
-  std::string frame;
-  frame.reserve(payload.size() + 2 * sizeof(uint32_t));
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  PutU32(&frame, Crc32(payload));
-  frame.append(payload);
-  return frame;
+  return payload;
 }
 
 JobJournal::JobJournal(std::string dir, Options options)
     : dir_(std::move(dir)), options_(options) {}
-
-JobJournal::~JobJournal() {
-  if (fd_ >= 0) ::close(fd_);
-}
 
 std::string JobJournal::SegmentPathFor(uint64_t seq) const {
   char buf[32];
@@ -238,20 +123,8 @@ std::string JobJournal::SegmentPathFor(uint64_t seq) const {
   return dir_ + "/" + buf;
 }
 
-Status JobJournal::OpenSegmentForAppend(uint64_t seq, uint64_t size) {
-  const std::string path = SegmentPathFor(seq);
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot open journal segment for append " +
-                           path + ": " + std::string(std::strerror(errno)));
-  }
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = fd;
-  seq_ = seq;
-  path_ = path;
-  bytes_ = size;
-  return Status::OK();
+FramedLog::Options JobJournal::LogOptions() const {
+  return FramedLog::Options{options_.fsync, kFailPointJournalAppend};
 }
 
 Result<std::unique_ptr<JobJournal>> JobJournal::Open(
@@ -265,153 +138,63 @@ Result<std::unique_ptr<JobJournal>> JobJournal::Open(
 
   std::unique_ptr<JobJournal> journal(new JobJournal(dir, options));
   if (scan.seqs.empty()) {
-    // Fresh journal: segment 1 with just the header.
-    const std::string path = journal->SegmentPathFor(1);
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) {
-      return Status::IoError("cannot create journal segment " + path +
-                             ": " + std::string(std::strerror(errno)));
-    }
-    const std::string header = SegmentHeader();
-    const Status written = WriteFully(fd, header);
-    ::close(fd);
-    KGFD_RETURN_NOT_OK(written);
-    KGFD_RETURN_NOT_OK(journal->OpenSegmentForAppend(1, header.size()));
-    replay->segment_seq = 1;
+    KGFD_ASSIGN_OR_RETURN(
+        journal->log_,
+        FramedLog::Create(journal->SegmentPathFor(1), kJournalFormat, {},
+                          /*sync=*/false, journal->LogOptions()));
     return journal;
   }
 
   // Replay the newest segment only: rotation writes a complete snapshot,
   // so older segments are strictly stale (kept until this replay succeeds,
-  // in case the newest one turns out not to be ours).
+  // in case the newest one turns out not to be ours). A CRC-valid but
+  // unparseable payload (version skew) ends the replay like a torn frame:
+  // nothing after an unintelligible record can be trusted to apply in
+  // order.
   const uint64_t seq = scan.seqs.back();
-  const std::string path = journal->SegmentPathFor(seq);
-  KGFD_ASSIGN_OR_RETURN(std::string data, ReadWholeFile(path));
-
-  uint64_t valid_end = 0;
-  if (data.size() < kHeaderBytes) {
-    // Torn header: the segment was created but the crash hit before even
-    // the 12 header bytes landed. Nothing was ever recorded in it —
-    // rewrite the header and recover empty.
-    replay->truncated_bytes = data.size();
-    const int fd = ::open(path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) {
-      return Status::IoError("cannot rewrite torn journal segment " + path +
-                             ": " + std::string(std::strerror(errno)));
-    }
-    const std::string header = SegmentHeader();
-    const Status written = WriteFully(fd, header);
-    ::close(fd);
-    KGFD_RETURN_NOT_OK(written);
-    valid_end = header.size();
-  } else {
-    if (std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-      return Status::IoError("not a kgfd job journal (bad magic): " + path);
-    }
-    uint32_t version = 0;
-    std::memcpy(&version, data.data() + sizeof(kMagic), sizeof(version));
-    if (version != kFormatVersion) {
-      return Status::IoError("unsupported job journal version " +
-                             std::to_string(version) + ": " + path);
-    }
-    // Walk the frames. The first frame that is short, oversized, or fails
-    // its CRC marks the torn/corrupt tail: truncate there and stop. A
-    // CRC-valid but unparseable payload (version skew) truncates too —
-    // nothing after an unintelligible record can be trusted to apply in
-    // order.
-    size_t at = kHeaderBytes;
-    valid_end = at;
-    while (data.size() - at >= 2 * sizeof(uint32_t)) {
-      uint32_t len = 0;
-      uint32_t crc = 0;
-      std::memcpy(&len, data.data() + at, sizeof(len));
-      std::memcpy(&crc, data.data() + at + sizeof(len), sizeof(crc));
-      const size_t payload_at = at + 2 * sizeof(uint32_t);
-      if (len > kMaxRecordBytes || len > data.size() - payload_at) break;
-      if (Crc32(data.data() + payload_at, len) != crc) break;
-      JournalRecord record;
-      if (!ParseRecordPayload(data.data() + payload_at, len, &record)) break;
-      replay->records.push_back(std::move(record));
-      at = payload_at + len;
-      valid_end = at;
-    }
-    replay->truncated_bytes = data.size() - valid_end;
-    if (replay->truncated_bytes > 0) {
-      if (::truncate(path.c_str(), static_cast<off_t>(valid_end)) != 0) {
-        return Status::IoError("cannot truncate torn journal tail of " +
-                               path + ": " +
-                               std::string(std::strerror(errno)));
-      }
-    }
-  }
+  KGFD_ASSIGN_OR_RETURN(
+      journal->log_,
+      FramedLog::Open(
+          journal->SegmentPathFor(seq), kJournalFormat,
+          [replay](std::string_view payload) {
+            JournalRecord record;
+            if (!ParseRecordPayload(payload, &record)) return false;
+            replay->records.push_back(std::move(record));
+            return true;
+          },
+          journal->LogOptions(), &replay->truncated_bytes));
 
   // The newest segment replayed: older ones are now provably stale.
   for (const uint64_t old_seq : scan.seqs) {
     if (old_seq != seq) ::unlink(journal->SegmentPathFor(old_seq).c_str());
   }
-  KGFD_RETURN_NOT_OK(journal->OpenSegmentForAppend(seq, valid_end));
+  journal->seq_ = seq;
   replay->segment_seq = seq;
   return journal;
 }
 
 Status JobJournal::Append(const JournalRecord& record) {
-  KGFD_FAIL_POINT(kFailPointJournalAppend);
-  if (fd_ < 0) return Status::FailedPrecondition("journal is not open");
-  const std::string frame = EncodeRecord(record);
-  KGFD_RETURN_NOT_OK(WriteFully(fd_, frame));
-  if (options_.fsync && ::fdatasync(fd_) != 0) {
-    return Status::IoError("journal fdatasync failed: " +
-                           std::string(std::strerror(errno)));
-  }
-  bytes_ += frame.size();
-  return Status::OK();
+  return log_->Append(EncodePayload(record));
 }
 
 Status JobJournal::Rotate(const std::vector<JournalRecord>& snapshot) {
   KGFD_FAIL_POINT(kFailPointJournalRotate);
-  if (fd_ < 0) return Status::FailedPrecondition("journal is not open");
-  const uint64_t next_seq = seq_ + 1;
-  const std::string next_path = SegmentPathFor(next_seq);
-  const std::string tmp_path = next_path + ".tmp";
-
-  std::string contents = SegmentHeader();
+  std::vector<std::string> payloads;
+  payloads.reserve(snapshot.size());
   for (const JournalRecord& record : snapshot) {
-    contents.append(EncodeRecord(record));
+    payloads.push_back(EncodePayload(record));
   }
-  {
-    const int fd = ::open(tmp_path.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) {
-      return Status::IoError("cannot create journal segment " + tmp_path +
-                             ": " + std::string(std::strerror(errno)));
-    }
-    const Status written = WriteFully(fd, contents);
-    if (!written.ok()) {
-      ::close(fd);
-      ::unlink(tmp_path.c_str());
-      return written;
-    }
-    // The snapshot must be on disk before the rename makes it
-    // authoritative, or a crash could leave a hollow newest segment.
-    if (::fdatasync(fd) != 0) {
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp_path.c_str());
-      return Status::IoError("journal fdatasync failed: " + err);
-    }
-    ::close(fd);
-  }
-  if (std::rename(tmp_path.c_str(), next_path.c_str()) != 0) {
-    const std::string err = std::strerror(errno);
-    ::unlink(tmp_path.c_str());
-    return Status::IoError("rename failed: " + tmp_path + " -> " +
-                           next_path + ": " + err);
-  }
-  const std::string old_path = path_;
-  KGFD_RETURN_NOT_OK(OpenSegmentForAppend(next_seq, contents.size()));
-  snapshot_bytes_ = contents.size();
+  // Always synced, whatever Options::fsync says: the old segment is
+  // unlinked next, so a snapshot that never reached the disk would lose
+  // the whole queue to a power cut.
+  KGFD_ASSIGN_OR_RETURN(
+      std::unique_ptr<FramedLog> next,
+      FramedLog::Create(SegmentPathFor(seq_ + 1), kJournalFormat, payloads,
+                        /*sync=*/true, LogOptions()));
+  const std::string old_path = log_->path();
+  log_ = std::move(next);
+  ++seq_;
+  snapshot_bytes_ = log_->bytes();
   ::unlink(old_path.c_str());
   return Status::OK();
 }

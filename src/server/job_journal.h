@@ -7,34 +7,38 @@
 #include <string>
 #include <vector>
 
+#include "util/framed_log.h"
 #include "util/status.h"
 
 namespace kgfd {
 
 /// Durable write-ahead journal for the job queue: every job lifecycle
 /// transition (submitted / started / progress / terminal) is appended to a
-/// CRC-guarded segment file under the server's --work_dir, so a crashed or
-/// redeployed server can rebuild its queue on boot instead of silently
-/// dropping every accepted job (see JobManager recovery in job_manager.h).
+/// segment file under the server's --work_dir, so a crashed or redeployed
+/// server can rebuild its queue on boot instead of silently dropping every
+/// accepted job (see JobManager recovery in job_manager.h).
 ///
 /// Durability model:
-///  * Each record is framed `[u32 length][u32 crc32(payload)][payload]`.
-///    Replay verifies the CRC before parsing a single byte, so a torn tail
-///    (crash mid-append) or a bit flip is detected, the segment is
-///    truncated back to its last valid record, and recovery continues —
-///    never a SIGBUS, abort, or garbage parse.
+///  * Segments are framed files (util/framed_log.h, kJournalFormat): replay
+///    checks each record's CRC before parsing a byte, so a torn tail (crash
+///    mid-append) or a bit flip truncates the segment back to its last
+///    valid record and recovery continues — never a SIGBUS, abort, or
+///    garbage parse.
 ///  * Segments are rotated by *compaction*: a snapshot of the live state is
-///    written to `journal.<seq+1>.log.tmp` and atomically renamed over the
-///    `.tmp` suffix, then older segments are unlinked. Replay always uses
-///    the highest-numbered complete segment; a crash at any point during
-///    rotation leaves either the old segment, or the old and the new, or
-///    the new alone — all of which recover to the same state.
+///    written to `journal.<seq+1>.log.tmp`, synced and atomically renamed
+///    over the `.tmp` suffix, then older segments are unlinked. Replay
+///    always uses the highest-numbered complete segment; a crash at any
+///    point during rotation leaves either the old segment, or the old and
+///    the new, or the new alone — all of which recover to the same state.
 ///  * Appends hit the page cache by default (a SIGKILL'd process's writes
 ///    survive; only a kernel crash or power loss can lose the tail). Set
 ///    Options::fsync for fdatasync-per-append when that window matters.
 ///
 /// Not thread-safe: the owner (JobManager) serializes all calls under its
 /// own lock.
+
+/// Segment header of every journal.
+inline constexpr FramedFormat kJournalFormat{"KGFDJNL1", 1, "job journal"};
 
 /// One journal entry. The record grammar (DESIGN.md §10): a `kSubmitted`
 /// record creates a job, `kStarted` marks one execution attempt,
@@ -75,6 +79,8 @@ class JobJournal {
     uint64_t rotate_bytes = 4ull << 20;
     /// fdatasync every append (power-loss durability; default relies on
     /// the page cache, which survives SIGKILL but not a kernel crash).
+    /// JobManager also syncs each job's facts file and --work_dir before
+    /// journaling the job's terminal record under this setting.
     bool fsync = false;
   };
 
@@ -89,7 +95,6 @@ class JobJournal {
     uint64_t segment_seq = 1;
   };
 
-  ~JobJournal();
   JobJournal(const JobJournal&) = delete;
   JobJournal& operator=(const JobJournal&) = delete;
 
@@ -104,8 +109,9 @@ class JobJournal {
                                                   ReplayResult* replay);
 
   /// Appends one record to the active segment (write-through to the OS;
-  /// fdatasync when Options::fsync). IoError leaves the journal usable —
-  /// the record is simply not durable.
+  /// fdatasync when Options::fsync). An IoError truncates the torn frame
+  /// away and leaves the journal usable — the record is simply not
+  /// durable.
   Status Append(const JournalRecord& record);
 
   /// True once the owner should compact via Rotate(): the active segment
@@ -114,7 +120,7 @@ class JobJournal {
   /// once the live state alone outgrows rotate_bytes; without it every
   /// append after that point would rewrite the whole snapshot.
   bool ShouldRotate() const {
-    return bytes_ >= std::max(options_.rotate_bytes, 2 * snapshot_bytes_);
+    return bytes() >= std::max(options_.rotate_bytes, 2 * snapshot_bytes_);
   }
 
   /// Compacts: writes `snapshot` to a fresh segment (tmp + atomic rename),
@@ -123,33 +129,28 @@ class JobJournal {
   Status Rotate(const std::vector<JournalRecord>& snapshot);
 
   /// Bytes in the active segment (header + records).
-  uint64_t bytes() const { return bytes_; }
+  uint64_t bytes() const { return log_->bytes(); }
   /// Active segment path (for tests and operator tooling).
-  const std::string& segment_path() const { return path_; }
+  const std::string& segment_path() const { return log_->path(); }
 
   /// Renames every `journal.*.log` in `dir` to `<name>.corrupt` so a
   /// damaged journal can be inspected later while the server boots with a
   /// fresh one. Returns the number of segments moved.
   static Result<size_t> QuarantineSegments(const std::string& dir);
 
-  /// Serialization of one record (frame + payload), exposed for tests that
-  /// hand-craft corrupt segments.
-  static std::string EncodeRecord(const JournalRecord& record);
-  /// The fixed segment header (magic + version) every segment begins with.
-  static std::string SegmentHeader();
+  /// The framed payload of one record.
+  static std::string EncodePayload(const JournalRecord& record);
 
  private:
   JobJournal(std::string dir, Options options);
 
   std::string SegmentPathFor(uint64_t seq) const;
-  Status OpenSegmentForAppend(uint64_t seq, uint64_t size);
+  FramedLog::Options LogOptions() const;
 
   std::string dir_;
   Options options_;
-  std::string path_;
-  int fd_ = -1;
+  std::unique_ptr<FramedLog> log_;
   uint64_t seq_ = 1;
-  uint64_t bytes_ = 0;
   /// Size of the segment the last Rotate() wrote (0 before the first).
   uint64_t snapshot_bytes_ = 0;
 };

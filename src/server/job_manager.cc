@@ -1,9 +1,7 @@
 #include "server/job_manager.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -21,6 +19,7 @@
 #include "obs/metrics.h"
 #include "util/config_file.h"
 #include "util/failpoint.h"
+#include "util/framed_log.h"
 #include "util/timer.h"
 
 namespace kgfd {
@@ -106,59 +105,13 @@ JobState JobStateFromJournal(uint8_t encoded) {
   }
 }
 
+/// A terminal job's facts file: its facts TSV as the one record of a
+/// framed file, so recovery can tell a torn or damaged file from a whole one.
+constexpr FramedFormat kFactsFormat{"KGFDFACT", 1, "facts file"};
+
 std::string FactsPathFor(const std::string& work_dir,
                          const std::string& job_id) {
   return work_dir + "/" + job_id + ".facts.tsv";
-}
-
-/// Atomic tmp+rename write, same crash contract as resume manifests: a
-/// kill at any point leaves either the old file or the new, never a torn
-/// mix.
-Status WriteFileAtomic(const std::string& path, const std::string& data) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot create " + tmp + ": " +
-                           std::string(std::strerror(errno)));
-  }
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + written,
-                              data.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return Status::IoError("write to " + tmp + " failed: " + err);
-    }
-    written += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string err = std::strerror(errno);
-    ::unlink(tmp.c_str());
-    return Status::IoError("rename " + tmp + " -> " + path +
-                           " failed: " + err);
-  }
-  return Status::OK();
-}
-
-/// Best-effort whole-file read ("" when absent/unreadable) for restoring a
-/// terminal job's facts at recovery.
-std::string ReadFileOrEmpty(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return "";
-  std::string data;
-  char chunk[1 << 16];
-  while (true) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) break;
-    data.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return data;
 }
 
 /// Numeric part of "j<N>" job ids, 0 if the id has another shape.
@@ -425,11 +378,19 @@ void JobManager::RecoverFromJournal(std::vector<JournalRecord> records) {
 
     if (entry.terminal) {
       raw->state = JobStateFromJournal(entry.terminal_state);
-      raw->error = std::move(entry.error);
-      raw->num_facts = entry.num_facts;
-      raw->facts_tsv = ReadFileOrEmpty(FactsPathFor(options_.work_dir, id));
-      ++recovery_.jobs_restored;
-      continue;
+      auto facts =
+          ReadFramedRecord(FactsPathFor(options_.work_dir, id), kFactsFormat);
+      // A done job whose facts file is missing or fails its CRC re-runs
+      // below (a no-op resume through its finished manifest) instead of
+      // serving a short body; other outcomes stand, claiming no facts they
+      // cannot serve.
+      if (facts.ok() || raw->state != JobState::kDone || !parsed.ok()) {
+        raw->error = std::move(entry.error);
+        raw->num_facts = facts.ok() ? entry.num_facts : 0;
+        raw->facts_tsv = facts.ok() ? std::move(facts).value() : "";
+        ++recovery_.jobs_restored;
+        continue;
+      }
     }
     if (!parsed.ok()) {
       // The submitted bytes no longer parse (format skew across versions):
@@ -449,7 +410,7 @@ void JobManager::RecoverFromJournal(std::vector<JournalRecord> records) {
         static_cast<uint32_t>(std::max<size_t>(options_.retry.max_attempts,
                                                1)) +
         1;
-    if (raw->attempts >= boot_budget) {
+    if (!entry.terminal && raw->attempts >= boot_budget) {
       raw->state = JobState::kFailedPoisoned;
       raw->stopped_reason = StoppedReason::kNone;
       raw->error = "quarantined at boot: " + std::to_string(raw->attempts) +
@@ -460,9 +421,10 @@ void JobManager::RecoverFromJournal(std::vector<JournalRecord> records) {
       BumpCounter(kServerJobsPoisonedCounter);
       continue;
     }
-    // Interrupted or never started: back on the queue in submission order.
-    // A job that was mid-sweep resumes through its manifest, so recovered
-    // output is byte-identical to an uninterrupted run.
+    // Interrupted, never started, or done with its facts lost: back on the
+    // queue in submission order. A job that was mid-sweep resumes through
+    // its manifest, so recovered output is byte-identical to an
+    // uninterrupted run.
     raw->state = JobState::kQueued;
     queue_.push_back(raw);
     ++recovery_.jobs_recovered;
@@ -535,11 +497,13 @@ void JobManager::PersistTerminalLocked(Job* job) {
     return;
   }
   // Facts before terminal record: a kTerminal in the journal implies the
-  // facts bytes are durable, so a restored `done` job can always serve
-  // them. If the facts write fails we skip the terminal record too — the
-  // job simply re-runs after a restart.
-  const Status facts_written = WriteFileAtomic(
-      FactsPathFor(options_.work_dir, job->id), job->facts_tsv);
+  // facts bytes were written (and, under --journal_fsync, synced with the
+  // work dir), so a restored `done` job can serve them. If the facts write
+  // fails we skip the terminal record too — the job simply re-runs after a
+  // restart.
+  const Status facts_written =
+      WriteFramedRecord(FactsPathFor(options_.work_dir, job->id),
+                        kFactsFormat, job->facts_tsv, options_.journal.fsync);
   if (!facts_written.ok()) {
     BumpCounter(kServerJournalErrorsCounter);
     return;
@@ -981,6 +945,12 @@ Status JobManager::RunDiscoverJob(Job* job) {
 
   ResumeOptions resume;
   resume.manifest_path = options_.work_dir + "/" + job->id + ".manifest";
+  // A manifest this build cannot replay (one from before the log format,
+  // or with a damaged header record) only costs the restart: the sweep is
+  // deterministic, so starting over yields the same facts.
+  if (!LoadResumeManifest(resume.manifest_path).ok()) {
+    std::remove(resume.manifest_path.c_str());
+  }
   KGFD_ASSIGN_OR_RETURN(
       const DiscoveryResult result,
       DiscoverFactsResumable(*loaded->model, kg, options, resume,

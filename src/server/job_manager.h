@@ -161,7 +161,8 @@ struct JobStatus {
 /// Durability (DESIGN.md §10): every job transition is appended to a
 /// JobJournal under work_dir before the server acknowledges it as durable.
 /// On construction the journal is replayed: terminal jobs are restored
-/// (facts from `<id>.facts.tsv`), interrupted jobs re-enter the queue in
+/// (facts from the framed file `<id>.facts.tsv`; a done job whose file is
+/// missing or damaged re-runs instead), interrupted jobs re-enter the queue in
 /// their original submission order and resume through their manifests, and
 /// jobs that crash-looped past the attempt budget are quarantined as
 /// kFailedPoisoned instead of crashing the server again.

@@ -8,10 +8,10 @@
 namespace kgfd {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum used by zlib
-/// and PNG. Binary artifacts (model checkpoints, resume manifests) append
-/// a 4-byte little-endian CRC of the payload so loaders can reject
-/// truncated or bit-flipped files with a clear error instead of parsing
-/// garbage.
+/// and PNG. Model checkpoints and every framed file (util/framed_log.h)
+/// store a 4-byte little-endian CRC of their payloads so loaders can
+/// reject truncated or bit-flipped files with a clear error instead of
+/// parsing garbage.
 
 /// Incremental update: feed `crc = 0` for the first chunk, then thread the
 /// returned value through subsequent chunks.

@@ -272,6 +272,56 @@ TEST_F(RecoveryTest, PreTerminalFlushCrashReRunsToIdenticalFacts) {
   EXPECT_TRUE(std::filesystem::exists(work_dir_ + "/" + id + ".facts.tsv"));
 }
 
+TEST_F(RecoveryTest, LostOrTornFactsFileReRunsToIdenticalFacts) {
+  // A journaled `done` whose facts file is later deleted or truncated must
+  // not serve an empty or short body under its old fact count: recovery
+  // re-runs the job (a no-op resume through its finished manifest) to the
+  // same bytes. The first run also syncs the facts file, as under
+  // --journal_fsync.
+  JobManager::Options options = BaseOptions();
+  options.journal.fsync = true;
+  auto jobs = std::make_unique<JobManager>(options);
+  const std::string id =
+      std::move(jobs->Submit(TestJobConfig())).ValueOrDie("submit");
+  ASSERT_EQ(AwaitTerminal(*jobs, id).state, JobState::kDone);
+  jobs->Shutdown();
+  jobs.reset();
+
+  const std::string facts_path = work_dir_ + "/" + id + ".facts.tsv";
+  const std::function<void()> damages[] = {
+      [&] { std::filesystem::remove(facts_path); },
+      [&] {
+        std::filesystem::resize_file(
+            facts_path, std::filesystem::file_size(facts_path) - 5);
+      },
+      // A work dir from a build before the framed formats: a plain TSV
+      // and a version-3 manifest. The manifest cannot be replayed, so the
+      // re-run starts over — to the same bytes.
+      [&] {
+        std::ofstream(facts_path) << ReferenceFactsTsv();
+        std::ofstream(work_dir_ + "/" + id + ".manifest", std::ios::binary)
+            << std::string("KGFDRSUM\x03\0\0\0", 12) << "old payload";
+      }};
+  for (const auto& damage : damages) {
+    damage();
+    jobs = std::make_unique<JobManager>(BaseOptions());
+    EXPECT_EQ(jobs->recovery().jobs_recovered, 1u);
+    EXPECT_EQ(jobs->recovery().jobs_restored, 0u);
+    const JobStatus status = AwaitTerminal(*jobs, id);
+    EXPECT_EQ(status.state, JobState::kDone) << status.error;
+    EXPECT_EQ(std::move(jobs->FactsTsv(id)).ValueOrDie("facts"),
+              ReferenceFactsTsv());
+    jobs->Shutdown();
+    jobs.reset();
+  }
+  // Whole again: the next boot restores the job without re-running it.
+  jobs = std::make_unique<JobManager>(BaseOptions());
+  EXPECT_EQ(jobs->recovery().jobs_restored, 1u);
+  EXPECT_EQ(jobs->recovery().jobs_recovered, 0u);
+  EXPECT_EQ(std::move(jobs->FactsTsv(id)).ValueOrDie("facts"),
+            ReferenceFactsTsv());
+}
+
 TEST_F(RecoveryTest, AdvancingKillChaosLoopRecoversAtEveryPoint) {
   // Kill-9 at three distinct points of one job's life — just submitted,
   // mid-sweep, and pre-terminal-flush — restarting after each. The final

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -98,6 +99,117 @@ bool SameFacts(const std::vector<DiscoveredFact>& a,
   return true;
 }
 
+/// Writes `m` the way DiscoverFactsResumable does: its fingerprint, then
+/// one appended record per finished round and relation.
+void WriteManifest(const ResumeManifest& m, const std::string& path) {
+  auto writer = ResumeManifestWriter::Create(path, m);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const AdaptiveRelationPartial& partial : m.partial) {
+    for (const AdaptiveRoundRecord& round : partial.rounds) {
+      ASSERT_TRUE(writer.value()->AppendRound(partial.relation, round).ok());
+    }
+  }
+  for (const RelationCheckpointEntry& entry : m.done) {
+    ASSERT_TRUE(writer.value()->AppendRelation(entry).ok());
+  }
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// The options of the damaged-manifest tests: few facts per relation, so
+/// every byte of a real sweep's manifest can be damaged in turn.
+DiscoveryOptions TinyOptions() {
+  DiscoveryOptions o = SmallOptions();
+  o.top_n = 3;
+  return o;
+}
+
+/// Checks one damaged copy of a finished sweep's manifest against the log
+/// contract: it loads a whole-record prefix of what was written or is
+/// refused with an IoError, never yielding a record that was not written.
+/// The first time each outcome is seen, a resume from the damaged file
+/// must give facts byte-identical to an uninterrupted run (or, refused,
+/// fail the same way).
+class DamagedManifestChecker {
+ public:
+  DamagedManifestChecker(const std::string& dir,
+                         const ResumeManifest& written)
+      : dir_(dir), written_(written) {
+    const Fixture& f = SharedFixture();
+    reference_ = std::move(
+        DiscoverFacts(*f.model, f.dataset.train(), TinyOptions()))
+                     .ValueOrDie("reference");
+  }
+
+  void Check(const std::string& damaged, const std::string& what) {
+    const std::string path = dir_ + "/damaged.manifest";
+    WriteBytes(path, damaged);
+    auto loaded = LoadResumeManifest(path);
+    int outcome = -1;  // refused
+    if (!loaded.ok()) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << what;
+    } else {
+      const ResumeManifest& m = loaded.value();
+      EXPECT_TRUE(CheckManifestCompatible(m, written_).ok()) << what;
+      EXPECT_TRUE(m.partial.empty()) << what;
+      ASSERT_LE(m.done.size(), written_.done.size()) << what;
+      for (size_t i = 0; i < m.done.size(); ++i) {
+        EXPECT_EQ(m.done[i].relation, written_.done[i].relation) << what;
+        EXPECT_EQ(m.done[i].num_candidates, written_.done[i].num_candidates)
+            << what;
+        EXPECT_TRUE(SameFacts(m.done[i].facts, written_.done[i].facts))
+            << what;
+      }
+      outcome = static_cast<int>(m.done.size());
+    }
+    if (!resumed_.insert(outcome).second) return;
+    const Fixture& f = SharedFixture();
+    ResumeOptions resume;
+    resume.manifest_path = path;
+    auto result = DiscoverFactsResumable(*f.model, f.dataset.train(),
+                                         TinyOptions(), resume);
+    if (outcome < 0) {
+      ASSERT_FALSE(result.ok()) << what;
+      EXPECT_EQ(result.status().code(), StatusCode::kIoError) << what;
+      return;
+    }
+    ASSERT_TRUE(result.ok()) << what << ": " << result.status().ToString();
+    EXPECT_TRUE(SameFacts(result.value().facts, reference_.facts)) << what;
+  }
+
+  /// Distinct outcomes seen: -1 (refused) or the number of relations
+  /// loaded.
+  const std::set<int>& outcomes() const { return resumed_; }
+
+ private:
+  std::string dir_;
+  ResumeManifest written_;
+  DiscoveryResult reference_;
+  std::set<int> resumed_;
+};
+
+/// Runs a finished sweep under TinyOptions and returns its manifest bytes.
+std::string FinishedSweepManifest(const std::string& path,
+                                  ResumeManifest* loaded) {
+  const Fixture& f = SharedFixture();
+  std::filesystem::remove(path);
+  ResumeOptions resume;
+  resume.manifest_path = path;
+  EXPECT_TRUE(DiscoverFactsResumable(*f.model, f.dataset.train(),
+                                     TinyOptions(), resume)
+                  .ok());
+  *loaded = std::move(LoadResumeManifest(path)).ValueOrDie("manifest");
+  return ReadBytes(path);
+}
+
 // ------------------------------------------------------ manifest basics
 
 TEST_F(ResumeTest, ManifestRoundTripsExactly) {
@@ -108,12 +220,14 @@ TEST_F(ResumeTest, ManifestRoundTripsExactly) {
   m.num_relations = 6;
   m.num_triples = 500;
   m.seed = 99;
-  m.strategy = "ENTITY_FREQUENCY";
+  m.strategy = "ADAPTIVE";
   m.top_n = 25;
   m.max_candidates = 60;
   m.max_iterations = 5;
   m.filtered_ranking = 1;
   m.rank_aggregation = 2;
+  m.adaptive_rounds = 4;
+  m.adaptive_exploration = 0.1;
   m.relations = {0, 3, 1};
   RelationCheckpointEntry entry;
   entry.relation = 3;
@@ -122,30 +236,49 @@ TEST_F(ResumeTest, ManifestRoundTripsExactly) {
   fact.triple = Triple{4, 3, 7};
   fact.rank = 12.5;
   fact.subject_rank = 10.0;
-  fact.object_rank = 15.0;
+  fact.object_rank = -0.0;
   entry.facts.push_back(fact);
   m.done.push_back(entry);
+  // Relation 3's rounds precede its done record (which supersedes them);
+  // relation 1 is still mid-relation.
+  AdaptiveRoundRecord round;
+  round.arm = "GRAPH_DEGREE";
+  round.num_candidates = 15;
+  round.facts = {fact};
+  m.partial.push_back({3, {round}});
+  m.partial.push_back({1, {round, round}});
+  m.partial.back().rounds[1].round = 1;
+  m.partial.back().rounds[1].arm = "MODEL_SCORE";
 
-  ASSERT_TRUE(SaveResumeManifest(m, manifest_).ok());
+  WriteManifest(m, manifest_);
   auto loaded = LoadResumeManifest(manifest_);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(CheckManifestCompatible(loaded.value(), m).ok());
   ASSERT_EQ(loaded.value().done.size(), 1u);
-  ASSERT_EQ(loaded.value().done[0].facts.size(), 1u);
+  EXPECT_EQ(loaded.value().done[0].relation, 3u);
+  EXPECT_EQ(loaded.value().done[0].num_candidates, 60u);
   EXPECT_TRUE(SameFacts(loaded.value().done[0].facts, entry.facts));
   EXPECT_EQ(loaded.value().relations, m.relations);
+  ASSERT_EQ(loaded.value().partial.size(), 1u);
+  const AdaptiveRelationPartial& partial = loaded.value().partial[0];
+  EXPECT_EQ(partial.relation, 1u);
+  ASSERT_EQ(partial.rounds.size(), 2u);
+  EXPECT_EQ(partial.rounds[1].round, 1u);
+  EXPECT_EQ(partial.rounds[1].arm, "MODEL_SCORE");
+  EXPECT_EQ(partial.rounds[1].num_candidates, 15u);
+  EXPECT_TRUE(SameFacts(partial.rounds[1].facts, round.facts));
 }
 
 TEST_F(ResumeTest, SaveIsAtomicNoTmpFileLeftBehind) {
   ResumeManifest m;
   m.model_name = "TransE";
   m.relations = {0};
-  ASSERT_TRUE(SaveResumeManifest(m, manifest_).ok());
+  auto writer = ResumeManifestWriter::Create(manifest_, m);
+  ASSERT_TRUE(writer.ok());
   EXPECT_TRUE(std::filesystem::exists(manifest_));
   EXPECT_FALSE(std::filesystem::exists(manifest_ + ".tmp"));
-  // Overwrite with more progress: still atomic, still loadable.
-  m.done.emplace_back();
-  ASSERT_TRUE(SaveResumeManifest(m, manifest_).ok());
+  // More progress is appended in place: still loadable.
+  ASSERT_TRUE(writer.value()->AppendRelation(RelationCheckpointEntry{}).ok());
   auto loaded = LoadResumeManifest(manifest_);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().done.size(), 1u);
@@ -155,72 +288,100 @@ TEST_F(ResumeTest, LoadRejectsGarbageAndTruncation) {
   EXPECT_FALSE(LoadResumeManifest(dir_ + "/nope").ok());
 
   std::ofstream(manifest_) << "this is not a manifest";
-  EXPECT_FALSE(LoadResumeManifest(manifest_).ok());
+  EXPECT_EQ(LoadResumeManifest(manifest_).status().code(),
+            StatusCode::kIoError);
 
-  // A valid manifest truncated at every prefix length must error, never
-  // crash or return partial data.
-  ResumeManifest m;
-  m.model_name = "DistMult";
-  m.relations = {0, 1, 2};
-  m.done.emplace_back();
-  m.done.back().relation = 1;
-  m.done.back().facts.resize(2);
-  ASSERT_TRUE(SaveResumeManifest(m, manifest_).ok());
-  std::ifstream in(manifest_, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  for (size_t len = 0; len < bytes.size(); len += 7) {
-    const std::string trunc_path = dir_ + "/trunc.manifest";
-    std::ofstream(trunc_path, std::ios::binary)
-        << bytes.substr(0, len);
-    EXPECT_FALSE(LoadResumeManifest(trunc_path).ok()) << "len=" << len;
+  // A version-3 manifest (the whole-file-CRC format before the log) is
+  // refused by its version, not misread.
+  std::string old_format = "KGFDRSUM";
+  const uint32_t version3 = 3;
+  old_format.append(reinterpret_cast<const char*>(&version3), 4);
+  old_format.append(64, '\0');
+  WriteBytes(manifest_, old_format);
+  auto old = LoadResumeManifest(manifest_);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kIoError);
+  EXPECT_NE(old.status().message().find("version 3"), std::string::npos)
+      << old.status().ToString();
+
+  // Every prefix of a real sweep's manifest: a torn record is rejected
+  // with everything after it, the whole records before it load, and a
+  // resume from the prefix finishes bit-identically.
+  ResumeManifest written;
+  const std::string bytes = FinishedSweepManifest(manifest_, &written);
+  ASSERT_GT(written.done.size(), 2u);
+  DamagedManifestChecker checker(dir_, written);
+  for (size_t len = 0; len <= bytes.size(); ++len) {
+    checker.Check(bytes.substr(0, len), "len=" + std::to_string(len));
   }
+  // Refused (cut inside the header) and every count of whole relations.
+  EXPECT_EQ(checker.outcomes().size(), written.done.size() + 2);
 }
 
 TEST_F(ResumeTest, EverySingleBitFlipInManifestRejected) {
-  ResumeManifest m;
-  m.model_name = "DistMult";
-  m.model_param_hash = 0x1234ABCDu;
-  m.relations = {0, 1, 2};
-  m.done.emplace_back();
-  m.done.back().relation = 1;
-  m.done.back().facts.resize(3);
-  ASSERT_TRUE(SaveResumeManifest(m, manifest_).ok());
-  std::ifstream in(manifest_, std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_TRUE(LoadResumeManifest(manifest_).ok());  // pristine loads
-
-  // Fuzz every bit position: the CRC-32 trailer must reject each flip —
-  // a flipped fact rank would otherwise resume into silently wrong output.
-  const std::string flip_path = dir_ + "/flip.manifest";
+  // Fuzz every bit position of a real sweep's manifest: the CRC-32 of the
+  // record holding the flip rejects it (with the records after it), so a
+  // flipped fact rank can never resume into silently wrong output.
+  ResumeManifest written;
+  const std::string bytes = FinishedSweepManifest(manifest_, &written);
+  DamagedManifestChecker checker(dir_, written);
   for (size_t i = 0; i < bytes.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string corrupt = bytes;
       corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << bit));
-      std::ofstream(flip_path, std::ios::binary) << corrupt;
-      EXPECT_FALSE(LoadResumeManifest(flip_path).ok())
-          << "byte=" << i << " bit=" << bit;
+      checker.Check(corrupt, "byte=" + std::to_string(i) +
+                                 " bit=" + std::to_string(bit));
     }
   }
+  EXPECT_EQ(checker.outcomes().size(), written.done.size() + 1);
 }
 
 TEST_F(ResumeTest, ManifestChecksumErrorIsDescriptive) {
   ResumeManifest m;
   m.model_name = "TransE";
   m.relations = {0};
-  ASSERT_TRUE(SaveResumeManifest(m, manifest_).ok());
-  std::ifstream in(manifest_, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  WriteManifest(m, manifest_);
+  std::string bytes = ReadBytes(manifest_);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x55);
-  std::ofstream(manifest_, std::ios::binary) << bytes;
+  WriteBytes(manifest_, bytes);
   auto result = LoadResumeManifest(manifest_);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   EXPECT_NE(result.status().ToString().find("checksum"), std::string::npos);
+}
+
+TEST_F(ResumeTest, ManifestIsAppendOnlyOneFramePerRelation) {
+  // Each finished relation appends exactly one frame and leaves every
+  // earlier byte as it was, so a sweep writes its final manifest size in
+  // total (ROADMAP item 9's bound is 2x) instead of rewriting the file.
+  const Fixture& f = SharedFixture();
+  DiscoveryOptions options = SmallOptions();
+  // What the sweep writes before its first relation: the header alone.
+  const std::string header_only = dir_ + "/header.manifest";
+  WriteManifest(MakeManifestHeader(f.model.get(), f.dataset.train(), options,
+                                   f.dataset.train().UsedRelations()),
+                header_only);
+  std::string previous = ReadBytes(header_only);
+  size_t relations_seen = 0;
+  options.on_relation_complete = [&](RelationCompletion&&) {
+    const std::string now = ReadBytes(manifest_);
+    ASSERT_GE(now.size(), previous.size() + 8);
+    EXPECT_EQ(now.compare(0, previous.size(), previous), 0)
+        << "relation " << relations_seen << " rewrote earlier bytes";
+    uint32_t len = 0;
+    std::memcpy(&len, now.data() + previous.size(), sizeof(len));
+    EXPECT_EQ(now.size(), previous.size() + 8 + len)
+        << "relation " << relations_seen << " appended more than one frame";
+    previous = now;
+    ++relations_seen;
+  };
+  ResumeOptions resume;
+  resume.manifest_path = manifest_;
+  auto result =
+      DiscoverFactsResumable(*f.model, f.dataset.train(), options, resume);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(relations_seen, f.dataset.train().UsedRelations().size());
+  EXPECT_EQ(ReadBytes(manifest_), previous);
 }
 
 TEST_F(ResumeTest, CompatibilityCheckNamesTheMismatch) {
@@ -439,6 +600,13 @@ TEST_F(ResumeTest, SaveRetryPolicyAbsorbsTransientManifestFaults) {
       DiscoverFactsResumable(*f.model, f.dataset.train(), options, resume);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(SameFacts(result.value().facts, reference.value().facts));
+  // Each failed append cut its torn frame off before the retry, so the log
+  // on disk replays every relation.
+  fp.Reset();
+  auto on_disk = LoadResumeManifest(manifest_);
+  ASSERT_TRUE(on_disk.ok()) << on_disk.status().ToString();
+  EXPECT_EQ(on_disk.value().done.size(),
+            f.dataset.train().UsedRelations().size());
 }
 
 TEST_F(ResumeTest, ChainsUserCallbackAfterPersisting) {

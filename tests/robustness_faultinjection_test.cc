@@ -382,11 +382,18 @@ TEST_F(FailPointTest, ResumeSaveAndLoadSitesTrigger) {
   manifest.model_name = "TransE";
 
   ASSERT_TRUE(fp.Enable(kFailPointResumeSave, "return").ok());
-  EXPECT_FALSE(SaveResumeManifest(manifest, path).ok());
+  EXPECT_FALSE(ResumeManifestWriter::Create(path, manifest).ok());
   EXPECT_GE(fp.TriggerCount(kFailPointResumeSave), 1u);
   fp.Disable(kFailPointResumeSave);
 
-  ASSERT_TRUE(SaveResumeManifest(manifest, path).ok());
+  auto writer = ResumeManifestWriter::Create(path, manifest);
+  ASSERT_TRUE(writer.ok());
+  // Appends evaluate the same site, mid-frame.
+  ASSERT_TRUE(fp.Enable(kFailPointResumeSave, "return").ok());
+  EXPECT_FALSE(writer.value()->AppendRelation({}).ok());
+  EXPECT_GE(fp.TriggerCount(kFailPointResumeSave), 2u);
+  fp.Disable(kFailPointResumeSave);
+
   ASSERT_TRUE(fp.Enable(kFailPointResumeLoad, "return").ok());
   EXPECT_FALSE(LoadResumeManifest(path).ok());
   EXPECT_GE(fp.TriggerCount(kFailPointResumeLoad), 1u);
