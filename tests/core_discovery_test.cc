@@ -243,7 +243,8 @@ INSTANTIATE_TEST_SUITE_P(
                       SamplingStrategy::kGraphDegree,
                       SamplingStrategy::kClusteringCoefficient,
                       SamplingStrategy::kClusteringTriangles,
-                      SamplingStrategy::kClusteringSquares),
+                      SamplingStrategy::kClusteringSquares,
+                      SamplingStrategy::kModelScore),
     [](const ::testing::TestParamInfo<SamplingStrategy>& info) {
       return SamplingStrategyName(info.param);
     });
@@ -576,7 +577,8 @@ TEST(DiscoverFactsTest, TiedTargetsOfOneEntryRankLikeTheReference) {
   constexpr size_t kEntities = 24;
   TripleStore kg(kEntities, 1);
   for (EntityId e = 0; e < kEntities; ++e) {
-    ASSERT_TRUE(kg.Add({e, 0, (e * 7 + 3) % kEntities}).ok());
+    ASSERT_TRUE(
+        kg.Add({e, 0, static_cast<EntityId>((e * 7 + 3) % kEntities)}).ok());
   }
   TiedScoreModel model(kEntities, 1);
   DiscoveryOptions o;

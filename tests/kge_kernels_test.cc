@@ -29,14 +29,15 @@ class KernelsTest : public ::testing::Test {
 };
 
 /// The shapes the tiling has to get right: odd dims, dims smaller than the
-/// AVX2 column step, a dim spanning several blocks, and entity counts that
-/// are not multiples of the 8-row tile (including fewer rows than one tile).
+/// AVX2 column step, a dim spanning several blocks, entity counts that are
+/// not multiples of the 8-row tile (including fewer rows than one tile), and
+/// one entity count past the portable backend's 256-row cache tile.
 struct Shape {
   size_t dim;
   size_t entities;
 };
 const Shape kShapes[] = {
-    {3, 5}, {3, 23}, {6, 8}, {7, 67}, {12, 5}, {33, 23}, {40, 67},
+    {3, 5}, {3, 23}, {6, 8}, {7, 67}, {12, 5}, {33, 23}, {40, 67}, {5, 300},
 };
 
 struct ModelCase {
@@ -69,11 +70,9 @@ std::unique_ptr<Model> MakeModel(const ModelCase& mc, const Shape& shape,
 /// the per-triple path (ComplEx factors the complex product per query), so
 /// allow an error linear in the accumulation length, scaled to the result's
 /// magnitude — a 1-ULP-per-term envelope.
-void ExpectUlpNear(double got, double want, size_t terms,
-                   const std::string& context) {
+double UlpTolerance(double got, double want, size_t terms) {
   const double scale = std::max({1.0, std::fabs(got), std::fabs(want)});
-  const double tol = static_cast<double>(terms + 1) * DBL_EPSILON * scale;
-  EXPECT_NEAR(got, want, tol) << context;
+  return static_cast<double>(terms + 1) * DBL_EPSILON * scale;
 }
 
 uint64_t Bits(double x) {
@@ -121,20 +120,28 @@ void CheckAgainstPerTriple(const KernelOps* backend, const char* backend_name) {
       for (size_t q = 0; q < qs.size(); ++q) {
         ASSERT_EQ(obj[q].size(), model->num_entities());
         ASSERT_EQ(sub[q].size(), model->num_entities());
+        const size_t terms = model->embedding_dim();
         for (EntityId e = 0; e < model->num_entities(); ++e) {
-          const std::string ctx =
-              std::string(backend_name) + " " + mc.label +
-              " dim=" + std::to_string(model->embedding_dim()) +
-              " |E|=" + std::to_string(shape.entities) +
-              " q=" + std::to_string(qs[q].entity) +
-              " r=" + std::to_string(qs[q].relation) +
-              " e=" + std::to_string(e);
-          ExpectUlpNear(obj[q][e],
-                        model->Score({qs[q].entity, qs[q].relation, e}),
-                        model->embedding_dim(), "objects " + ctx);
-          ExpectUlpNear(sub[q][e],
-                        model->Score({e, qs[q].relation, qs[q].entity}),
-                        model->embedding_dim(), "subjects " + ctx);
+          // Built only for a failure message: the 300-entity shape alone
+          // checks over a million pairs.
+          auto ctx = [&] {
+            return std::string(backend_name) + " " + mc.label +
+                   " dim=" + std::to_string(terms) +
+                   " |E|=" + std::to_string(shape.entities) +
+                   " q=" + std::to_string(qs[q].entity) +
+                   " r=" + std::to_string(qs[q].relation) +
+                   " e=" + std::to_string(e);
+          };
+          const double obj_want =
+              model->Score({qs[q].entity, qs[q].relation, e});
+          const double sub_want =
+              model->Score({e, qs[q].relation, qs[q].entity});
+          EXPECT_NEAR(obj[q][e], obj_want,
+                      UlpTolerance(obj[q][e], obj_want, terms))
+              << "objects " << ctx();
+          EXPECT_NEAR(sub[q][e], sub_want,
+                      UlpTolerance(sub[q][e], sub_want, terms))
+              << "subjects " << ctx();
         }
       }
     }

@@ -130,7 +130,7 @@ TEST_P(MmapBackendTest, MmapLoadIsBitIdenticalToRamLoad) {
                         "mmap+verify");
 }
 
-TEST_P(MmapBackendTest, V2CheckpointFallsBackToRamUnderMmapBackend) {
+TEST_P(MmapBackendTest, V2CheckpointIsRefusedByEveryBackend) {
   // Format v2 used to load under the mmap backend by falling back to the
   // ram loader. v2 support is gone, so the fallback is too: a v3 file
   // re-stamped as version 2 (checksums re-stamped, so only the version
