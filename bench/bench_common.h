@@ -30,14 +30,11 @@ inline ExperimentConfig ConfigFromFlags(int argc, char** argv) {
   // default top_n=100 is an actually selective quality threshold (the
   // paper uses 500 of ~14.5k-123k entities).
   config.scale = flags.GetDouble("scale", 40.0);
-  config.embedding_dim =
-      static_cast<size_t>(flags.GetInt("dim", 16));
-  config.epochs = static_cast<size_t>(flags.GetInt("epochs", 10));
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  config.discovery.top_n =
-      static_cast<size_t>(flags.GetInt("top_n", 100));
-  config.discovery.max_candidates =
-      static_cast<size_t>(flags.GetInt("max_candidates", 200));
+  config.embedding_dim = flags.GetSize("dim", 16);
+  config.epochs = flags.GetSize("epochs", 10);
+  config.seed = flags.GetUint64("seed", 42);
+  config.discovery.top_n = flags.GetSize("top_n", 100);
+  config.discovery.max_candidates = flags.GetSize("max_candidates", 200);
   return config;
 }
 

@@ -40,13 +40,13 @@ inline HparamSetup MakeHparamSetup(int argc, char** argv,
                                    double default_scale = 20.0) {
   Flags flags = std::move(Flags::Parse(argc, argv)).ValueOrDie("flags");
   const double scale = flags.GetDouble("scale", default_scale);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const uint64_t seed = flags.GetUint64("seed", 42);
   Dataset dataset =
       std::move(GenerateSyntheticDataset(Fb15k237Config(scale, seed)))
           .ValueOrDie("dataset");
   ExperimentConfig config;
-  config.embedding_dim = static_cast<size_t>(flags.GetInt("dim", 16));
-  config.epochs = static_cast<size_t>(flags.GetInt("epochs", 8));
+  config.embedding_dim = flags.GetSize("dim", 16);
+  config.epochs = flags.GetSize("epochs", 8);
   config.seed = seed;
   std::printf("setup: %s at scale %.0f (%zu entities, %zu relations, %zu "
               "train triples), TransE dim=%zu\n\n",

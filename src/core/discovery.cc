@@ -11,6 +11,7 @@
 #include "adaptive/scheduler.h"
 #include "adaptive/score_sketch.h"
 #include "core/discovery_cache.h"
+#include "core/discovery_options.h"
 #include "core/side_score_cache.h"
 #include "core/type_filter.h"
 #include "graph/adjacency.h"
@@ -297,24 +298,7 @@ std::optional<size_t> RankCandidates(
 
 Status ValidateDiscoveryOptions(const DiscoveryOptions& options,
                                 const TripleStore& kg) {
-  if (options.max_candidates == 0 || options.top_n == 0) {
-    return Status::InvalidArgument("top_n and max_candidates must be > 0");
-  }
-  if (options.max_iterations == 0) {
-    return Status::InvalidArgument("max_iterations must be > 0");
-  }
-  if (options.strategy == SamplingStrategy::kAdaptive) {
-    if (options.adaptive_rounds == 0) {
-      return Status::InvalidArgument(
-          "adaptive_rounds must be > 0 for strategy=ADAPTIVE");
-    }
-    // Negated >= so a NaN (never >= 0) is rejected instead of silently
-    // poisoning every UCB comparison.
-    if (!(options.adaptive_exploration >= 0.0)) {
-      return Status::InvalidArgument(
-          "adaptive_exploration must be >= 0 for strategy=ADAPTIVE");
-    }
-  }
+  KGFD_RETURN_NOT_OK(CheckDiscoveryOptionRanges(options));
   for (RelationId r : options.relations) {
     if (r >= kg.num_relations()) {
       return Status::OutOfRange("relation id out of range");

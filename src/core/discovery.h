@@ -234,10 +234,11 @@ double LongTailShare(const std::vector<DiscoveredFact>& facts,
 
 class ThreadPool;
 
-/// Validates the hyperparameters of `options` against `kg`: top_n /
-/// max_candidates / max_iterations must be positive, every explicit relation
-/// id must exist in the KG, and the mesh-grid transient-memory estimate must
-/// fit under max_candidate_memory_bytes. DiscoverFacts runs this first;
+/// Validates the hyperparameters of `options` against `kg`: every knob must
+/// lie in the range of its row of core/discovery_options.h, every explicit
+/// relation id must exist in the KG, and the mesh-grid transient-memory
+/// estimate must fit under max_candidate_memory_bytes. DiscoverFacts runs
+/// this first;
 /// entry points that may skip the sweep entirely (DiscoverFactsResumable
 /// with a fully-done manifest, the job server at admission time) call it
 /// directly so invalid options never read as success.

@@ -1,5 +1,6 @@
 #include "core/job.h"
 
+#include "core/discovery_options.h"
 #include "kg/io.h"
 #include "kg/synthetic.h"
 #include "util/failpoint.h"
@@ -12,25 +13,19 @@ Result<JobSpec> JobSpec::FromConfig(const ConfigFile& config) {
   spec.dataset_preset =
       config.GetString("dataset.preset", spec.dataset_preset);
   spec.dataset_dir = config.GetString("dataset.dir", "");
-  KGFD_ASSIGN_OR_RETURN(
-      const double scale,
-      config.GetDouble("dataset.scale", spec.dataset_scale));
-  spec.dataset_scale = scale;
+  KGFD_ASSIGN_OR_RETURN(spec.dataset_scale,
+                        config.GetDouble("dataset.scale", spec.dataset_scale));
 
   KGFD_ASSIGN_OR_RETURN(spec.model,
                         ModelKindFromName(config.GetString(
                             "model.type", ModelKindName(spec.model))));
-  KGFD_ASSIGN_OR_RETURN(
-      const int64_t dim,
-      config.GetInt("model.dim", static_cast<int64_t>(spec.embedding_dim)));
-  spec.embedding_dim = static_cast<size_t>(dim);
+  KGFD_ASSIGN_OR_RETURN(spec.embedding_dim,
+                        config.GetUint("model.dim", spec.embedding_dim));
 
-  KGFD_ASSIGN_OR_RETURN(const int64_t epochs,
-                        config.GetInt("train.epochs", 25));
-  spec.trainer.epochs = static_cast<size_t>(epochs);
-  KGFD_ASSIGN_OR_RETURN(const int64_t batch,
-                        config.GetInt("train.batch_size", 128));
-  spec.trainer.batch_size = static_cast<size_t>(batch);
+  KGFD_ASSIGN_OR_RETURN(spec.trainer.epochs,
+                        config.GetUint("train.epochs", 25));
+  KGFD_ASSIGN_OR_RETURN(spec.trainer.batch_size,
+                        config.GetUint("train.batch_size", 128));
   KGFD_ASSIGN_OR_RETURN(spec.trainer.optimizer.learning_rate,
                         config.GetDouble("train.lr", 0.03));
   const std::string default_loss =
@@ -38,9 +33,8 @@ Result<JobSpec> JobSpec::FromConfig(const ConfigFile& config) {
   KGFD_ASSIGN_OR_RETURN(
       spec.trainer.loss,
       LossKindFromName(config.GetString("train.loss", default_loss)));
-  KGFD_ASSIGN_OR_RETURN(const int64_t negatives,
-                        config.GetInt("train.negatives", 2));
-  spec.trainer.negatives_per_positive = static_cast<size_t>(negatives);
+  KGFD_ASSIGN_OR_RETURN(spec.trainer.negatives_per_positive,
+                        config.GetUint("train.negatives", 2));
   const std::string mode =
       config.GetString("train.mode", "negative_sampling");
   if (mode == "negative_sampling") {
@@ -60,55 +54,14 @@ Result<JobSpec> JobSpec::FromConfig(const ConfigFile& config) {
                         config.GetBool("eval.enabled", true));
   KGFD_ASSIGN_OR_RETURN(spec.run_discovery,
                         config.GetBool("discovery.enabled", true));
-  KGFD_ASSIGN_OR_RETURN(
-      spec.discovery.strategy,
-      SamplingStrategyFromName(config.GetString(
-          "discovery.strategy",
-          SamplingStrategyName(DefaultSamplingStrategy()))));
-  KGFD_ASSIGN_OR_RETURN(const int64_t top_n,
-                        config.GetInt("discovery.top_n", 500));
-  spec.discovery.top_n = static_cast<size_t>(top_n);
-  KGFD_ASSIGN_OR_RETURN(const int64_t max_candidates,
-                        config.GetInt("discovery.max_candidates", 500));
-  spec.discovery.max_candidates = static_cast<size_t>(max_candidates);
-  KGFD_ASSIGN_OR_RETURN(spec.discovery.type_filter,
-                        config.GetBool("discovery.type_filter", false));
-  KGFD_ASSIGN_OR_RETURN(
-      const int64_t max_cand_mem,
-      config.GetInt("discovery.max_candidate_memory_bytes",
-                    static_cast<int64_t>(
-                        spec.discovery.max_candidate_memory_bytes)));
-  if (max_cand_mem <= 0) {
-    return Status::InvalidArgument(
-        "discovery.max_candidate_memory_bytes must be > 0");
-  }
-  spec.discovery.max_candidate_memory_bytes =
-      static_cast<size_t>(max_cand_mem);
-  KGFD_ASSIGN_OR_RETURN(
-      const int64_t adaptive_rounds,
-      config.GetInt("discovery.adaptive_rounds",
-                    static_cast<int64_t>(spec.discovery.adaptive_rounds)));
-  if (adaptive_rounds <= 0) {
-    return Status::InvalidArgument("discovery.adaptive_rounds must be > 0");
-  }
-  spec.discovery.adaptive_rounds = static_cast<size_t>(adaptive_rounds);
-  KGFD_ASSIGN_OR_RETURN(spec.discovery.adaptive_exploration,
-                        config.GetDouble("discovery.adaptive_exploration",
-                                         spec.discovery.adaptive_exploration));
-  if (!(spec.discovery.adaptive_exploration >= 0.0)) {
-    return Status::InvalidArgument(
-        "discovery.adaptive_exploration must be >= 0");
-  }
-
-  KGFD_ASSIGN_OR_RETURN(const int64_t seed, config.GetInt("seed", 42));
-  spec.seed = static_cast<uint64_t>(seed);
+  KGFD_ASSIGN_OR_RETURN(spec.seed, config.GetUint("seed", spec.seed));
   spec.trainer.seed = spec.seed;
+  spec.discovery.strategy = DefaultSamplingStrategy();
   spec.discovery.seed = spec.seed ^ 0x5851F42D4C957F2DULL;
+  KGFD_RETURN_NOT_OK(
+      ApplyDiscoveryOptions(config, "discovery.", &spec.discovery));
 
-  const std::vector<std::string> unknown = config.UnconsumedKeys();
-  if (!unknown.empty()) {
-    return Status::InvalidArgument("unknown config key: " + unknown.front());
-  }
+  KGFD_RETURN_NOT_OK(config.CheckAllRead());
   return spec;
 }
 
@@ -124,19 +77,9 @@ Result<JobResult> RunJob(const JobSpec& spec) {
                                          spec.dataset_dir));
     result.dataset = std::make_unique<Dataset>(std::move(loaded));
   } else {
-    SyntheticConfig dataset_config;
-    bool found = false;
-    for (const SyntheticConfig& c :
-         AllDatasetConfigs(spec.dataset_scale, spec.seed)) {
-      if (c.name == spec.dataset_preset) {
-        dataset_config = c;
-        found = true;
-      }
-    }
-    if (!found) {
-      return Status::NotFound("unknown dataset preset: " +
-                              spec.dataset_preset);
-    }
+    KGFD_ASSIGN_OR_RETURN(const SyntheticConfig dataset_config,
+                          DatasetPresetConfig(spec.dataset_preset,
+                                              spec.dataset_scale, spec.seed));
     KGFD_ASSIGN_OR_RETURN(Dataset generated,
                           GenerateSyntheticDataset(dataset_config));
     result.dataset = std::make_unique<Dataset>(std::move(generated));

@@ -33,15 +33,9 @@ namespace kgfd {
 ///   train.bernoulli   = false
 ///   eval.enabled      = true
 ///   discovery.enabled = true
-///   discovery.strategy        = <any strategy name; default is
-///                               KGFD_DEFAULT_STRATEGY, else ENTITY_FREQUENCY>
-///   discovery.top_n           = 500
-///   discovery.max_candidates  = 500
-///   discovery.type_filter     = false
-///   discovery.max_candidate_memory_bytes = 1073741824
-///   discovery.adaptive_rounds      = 8    # strategy=ADAPTIVE bandit rounds
-///   discovery.adaptive_exploration = 0.5  # UCB1 exploration constant
-///   seed              = 42
+///   discovery.<knob>  = ...         # any row of core/discovery_options.h
+///   seed              = 42          # discovery.seed defaults to
+///                                   # seed ^ 0x5851F42D4C957F2D
 struct JobSpec {
   std::string dataset_preset = "FB15K-237";
   std::string dataset_dir;       // non-empty overrides the preset

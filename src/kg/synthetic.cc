@@ -8,6 +8,7 @@
 #include "util/alias_sampler.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace kgfd {
 namespace {
@@ -232,6 +233,17 @@ SyntheticConfig CodexLConfig(double scale, uint64_t seed) {
 std::vector<SyntheticConfig> AllDatasetConfigs(double scale, uint64_t seed) {
   return {Fb15k237Config(scale, seed), Wn18rrConfig(scale, seed),
           Yago310Config(scale, seed), CodexLConfig(scale, seed)};
+}
+
+Result<SyntheticConfig> DatasetPresetConfig(const std::string& name,
+                                            double scale, uint64_t seed) {
+  std::vector<std::string> names;
+  for (const SyntheticConfig& c : AllDatasetConfigs(scale, seed)) {
+    if (c.name == name) return c;
+    names.push_back(c.name);
+  }
+  return Status::NotFound("unknown dataset preset '" + name + "' (" +
+                          Join(names, ", ") + ")");
 }
 
 }  // namespace kgfd

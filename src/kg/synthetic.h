@@ -50,6 +50,11 @@ SyntheticConfig CodexLConfig(double scale, uint64_t seed = 42);
 std::vector<SyntheticConfig> AllDatasetConfigs(double scale,
                                                uint64_t seed = 42);
 
+/// The preset of AllDatasetConfigs named `name`; NotFound names the valid
+/// presets.
+Result<SyntheticConfig> DatasetPresetConfig(const std::string& name,
+                                            double scale, uint64_t seed);
+
 }  // namespace kgfd
 
 #endif  // KGFD_KG_SYNTHETIC_H_

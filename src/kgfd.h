@@ -11,6 +11,7 @@
 #include "adaptive/score_sketch.h"    // IWYU pragma: export
 #include "core/discovery.h"           // IWYU pragma: export
 #include "core/discovery_cache.h"     // IWYU pragma: export
+#include "core/discovery_options.h"   // IWYU pragma: export
 #include "core/embedding_analysis.h"  // IWYU pragma: export
 #include "core/experiment.h"          // IWYU pragma: export
 #include "core/job.h"                 // IWYU pragma: export

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <utility>
 
-#include "core/job.h"
+#include "core/discovery_options.h"
 #include "core/report.h"
 #include "core/resume.h"
 #include "core/strategy.h"
@@ -42,21 +42,6 @@ Status EnsureDirectory(const std::string& path) {
                            ") failed: " + std::string(std::strerror(errno)));
   }
   return Status::OK();
-}
-
-/// Reads a strictly positive size from the config (GetInt yields int64, so
-/// negatives must be rejected before the size_t cast silently wraps).
-Result<size_t> GetPositiveSize(const ConfigFile& config,
-                               const std::string& key,
-                               size_t default_value) {
-  KGFD_ASSIGN_OR_RETURN(
-      const int64_t raw,
-      config.GetInt(key, static_cast<int64_t>(default_value)));
-  if (raw <= 0) {
-    return Status::InvalidArgument(key + " must be positive, got " +
-                                   std::to_string(raw));
-  }
-  return static_cast<size_t>(raw);
 }
 
 int64_t NowNs() {
@@ -163,12 +148,9 @@ Result<JobRequest> JobRequest::Parse(const std::string& config_text) {
 
   if (kind == "run") {
     request.kind = Kind::kRun;
-    // Validate the full pipeline spec now so a bad submission fails at
-    // POST time, not minutes later inside the runner. The spec itself is
-    // re-parsed from config_text at execution (JobSpec is not copyable
-    // here: it carries borrowed metrics/cancel wiring).
-    KGFD_ASSIGN_OR_RETURN(const JobSpec spec, JobSpec::FromConfig(config));
-    (void)spec;
+    // Parsed at POST time, so a bad submission fails now, not minutes
+    // later inside the runner.
+    KGFD_ASSIGN_OR_RETURN(request.spec, JobSpec::FromConfig(config));
     return request;
   }
   if (kind != "discover") {
@@ -186,53 +168,11 @@ Result<JobRequest> JobRequest::Parse(const std::string& config_text) {
     return Status::InvalidArgument("discover job requires model.checkpoint");
   }
 
-  const std::string strategy_name = config.GetString(
-      "discovery.strategy",
-      SamplingStrategyName(DefaultSamplingStrategy()));
-  KGFD_ASSIGN_OR_RETURN(request.discovery.strategy,
-                        SamplingStrategyFromName(strategy_name));
-  KGFD_ASSIGN_OR_RETURN(
-      request.discovery.adaptive_rounds,
-      GetPositiveSize(config, "discovery.adaptive_rounds",
-                      request.discovery.adaptive_rounds));
-  KGFD_ASSIGN_OR_RETURN(
-      request.discovery.adaptive_exploration,
-      config.GetDouble("discovery.adaptive_exploration",
-                       request.discovery.adaptive_exploration));
-  if (!(request.discovery.adaptive_exploration >= 0.0)) {
-    return Status::InvalidArgument(
-        "discovery.adaptive_exploration must be >= 0");
-  }
-  KGFD_ASSIGN_OR_RETURN(
-      request.discovery.top_n,
-      GetPositiveSize(config, "discovery.top_n", request.discovery.top_n));
-  KGFD_ASSIGN_OR_RETURN(request.discovery.max_candidates,
-                        GetPositiveSize(config, "discovery.max_candidates",
-                                        request.discovery.max_candidates));
-  KGFD_ASSIGN_OR_RETURN(request.discovery.max_iterations,
-                        GetPositiveSize(config, "discovery.max_iterations",
-                                        request.discovery.max_iterations));
-  KGFD_ASSIGN_OR_RETURN(request.discovery.type_filter,
-                        config.GetBool("discovery.type_filter",
-                                       request.discovery.type_filter));
-  KGFD_ASSIGN_OR_RETURN(request.discovery.filtered_ranking,
-                        config.GetBool("discovery.filtered_ranking",
-                                       request.discovery.filtered_ranking));
-  KGFD_ASSIGN_OR_RETURN(
-      const int64_t seed,
-      config.GetInt("discovery.seed",
-                    static_cast<int64_t>(request.discovery.seed)));
-  request.discovery.seed = static_cast<uint64_t>(seed);
+  request.discovery.strategy = DefaultSamplingStrategy();
+  KGFD_RETURN_NOT_OK(
+      ApplyDiscoveryOptions(config, "discovery.", &request.discovery));
 
-  const std::vector<std::string> unknown = config.UnconsumedKeys();
-  if (!unknown.empty()) {
-    std::string joined;
-    for (const std::string& key : unknown) {
-      if (!joined.empty()) joined += ", ";
-      joined += key;
-    }
-    return Status::InvalidArgument("unknown job config keys: " + joined);
-  }
+  KGFD_RETURN_NOT_OK(config.CheckAllRead());
   return request;
 }
 
@@ -967,13 +907,7 @@ Status JobManager::RunDiscoverJob(Job* job) {
 }
 
 Status JobManager::RunPipelineJob(Job* job) {
-  KGFD_ASSIGN_OR_RETURN(const ConfigFile config,
-                        ConfigFile::Parse(job->request.config_text));
-  // Consume the server-level keys again so JobSpec's unknown-key check
-  // (typo safety) does not trip over them.
-  (void)config.GetString("job.kind", "discover");
-  KGFD_RETURN_NOT_OK(config.GetDouble("deadline_s", 0.0).status());
-  KGFD_ASSIGN_OR_RETURN(JobSpec spec, JobSpec::FromConfig(config));
+  JobSpec spec = job->request.spec;
   spec.metrics = options_.metrics;
   spec.cancel = CancelContext(
       job->token.get(), job->request.deadline_s > 0

@@ -14,6 +14,7 @@
 
 #include "core/discovery.h"
 #include "core/discovery_cache.h"
+#include "core/job.h"
 #include "kg/dataset.h"
 #include "kge/model.h"
 #include "server/job_journal.h"
@@ -79,17 +80,8 @@ Status EnsureJobWorkDir(const std::string& path);
 ///    path and what the cross-request caches accelerate. Keys:
 ///      data.dir                  = <dataset directory>      (required)
 ///      model.checkpoint          = <model checkpoint file>  (required)
-///      discovery.strategy        = <any strategy name; default is
-///                                  KGFD_DEFAULT_STRATEGY, else
-///                                  ENTITY_FREQUENCY>
-///      discovery.top_n           = 500
-///      discovery.max_candidates  = 500
-///      discovery.max_iterations  = 5
-///      discovery.type_filter     = false
-///      discovery.filtered_ranking= true
-///      discovery.seed            = 123
-///      discovery.adaptive_rounds      = 8    # strategy=ADAPTIVE rounds
-///      discovery.adaptive_exploration = 0.5  # UCB1 exploration constant
+///      discovery.<knob>          = ...      # every row of the option
+///                                           # table, core/discovery_options.h
 ///      deadline_s                = 0        # 0 = no deadline
 ///    Defaults deliberately match `kgfd_cli discover`, so the same inputs
 ///    produce byte-identical facts through either front end.
@@ -104,11 +96,12 @@ struct JobRequest {
   std::string data_dir;
   std::string checkpoint;
   DiscoveryOptions discovery;
+  // -- run -----------------------------------------------------------------
+  JobSpec spec;
   // -- common --------------------------------------------------------------
   double deadline_s = 0.0;
-  /// Original body; `run` jobs re-parse it into a JobSpec at execution.
-  /// Also the payload of the journal's kSubmitted record, so a recovered
-  /// job is re-parsed from the exact bytes the client submitted.
+  /// Original body: the payload of the journal's kSubmitted record, so a
+  /// recovered job is re-parsed from the exact bytes the client submitted.
   std::string config_text;
 
   /// Parses and fully validates a submission body (unknown keys rejected).

@@ -1,8 +1,8 @@
 #include "util/config_file.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/string_util.h"
@@ -47,6 +47,13 @@ Result<ConfigFile> ConfigFile::Parse(const std::string& text) {
   return config;
 }
 
+ConfigFile ConfigFile::FromFlags(std::map<std::string, std::string> entries) {
+  ConfigFile flags;
+  flags.entries_ = std::move(entries);
+  flags.flag_names_ = true;
+  return flags;
+}
+
 bool ConfigFile::Has(const std::string& key) const {
   return entries_.count(key) > 0;
 }
@@ -58,42 +65,34 @@ std::string ConfigFile::GetString(const std::string& key,
   return it == entries_.end() ? default_value : it->second;
 }
 
+Status ConfigFile::KeyError(const std::string& key,
+                            const std::string& what) const {
+  return Status::InvalidArgument(
+      (flag_names_ ? "--" + key : "config key '" + key + "'") + " " + what);
+}
+
 Result<int64_t> ConfigFile::GetInt(const std::string& key,
                                    int64_t default_value) const {
-  consumed_[key] = true;
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return default_value;
-  Result<int64_t> v = ParseInt64(it->second);
-  if (!v.ok()) {
-    return Status::InvalidArgument("config key '" + key + "' " +
-                                   v.status().message());
-  }
-  return v;
+  return Get(key, default_value, &ParseInt64);
+}
+
+Result<uint64_t> ConfigFile::GetUint(const std::string& key,
+                                     uint64_t default_value) const {
+  return Get(key, default_value, &ParseUint64);
 }
 
 Result<double> ConfigFile::GetDouble(const std::string& key,
                                      double default_value) const {
-  consumed_[key] = true;
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return default_value;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0') {
-    return Status::InvalidArgument("config key '" + key +
-                                   "' is not a number: " + it->second);
-  }
-  return v;
+  return Get(key, default_value, &ParseDouble);
 }
 
 Result<bool> ConfigFile::GetBool(const std::string& key,
                                  bool default_value) const {
-  consumed_[key] = true;
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return default_value;
-  if (it->second == "true" || it->second == "1") return true;
-  if (it->second == "false" || it->second == "0") return false;
-  return Status::InvalidArgument("config key '" + key +
-                                 "' is not a boolean: " + it->second);
+  return Get<bool>(key, default_value, [](const std::string& text) {
+    if (text == "true" || text == "1") return Result<bool>(true);
+    if (text == "false" || text == "0") return Result<bool>(false);
+    return Result<bool>(Status::InvalidArgument("is not a boolean: " + text));
+  });
 }
 
 std::vector<std::string> ConfigFile::UnconsumedKeys() const {
@@ -102,6 +101,17 @@ std::vector<std::string> ConfigFile::UnconsumedKeys() const {
     if (!consumed_.count(key)) out.push_back(key);
   }
   return out;
+}
+
+Status ConfigFile::CheckAllRead() const {
+  std::vector<std::string> unread = UnconsumedKeys();
+  if (unread.empty()) return Status::OK();
+  for (std::string& key : unread) {
+    key = flag_names_ ? "--" + key : "'" + key + "'";
+  }
+  return Status::InvalidArgument(
+      (flag_names_ ? "unknown flag " : "unknown config key ") +
+      Join(unread, ", "));
 }
 
 }  // namespace kgfd

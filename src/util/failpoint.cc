@@ -37,12 +37,12 @@ Result<StatusCode> StatusCodeFromName(const std::string& name) {
 
 Result<uint64_t> ParseUint(const std::string& text,
                            const std::string& what) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return Status::InvalidArgument("failpoint spec: bad " + what + ": '" +
-                                   text + "'");
+  Result<uint64_t> v = ParseUint64(text);
+  if (v.ok() && text.find_first_not_of("0123456789") == std::string::npos) {
+    return v;
   }
-  return static_cast<uint64_t>(std::strtoull(text.c_str(), nullptr, 10));
+  return Status::InvalidArgument("failpoint spec: bad " + what + ": '" +
+                                 text + "'");
 }
 
 }  // namespace
@@ -63,14 +63,12 @@ Result<FailPointSpec> FailPointSpec::Parse(const std::string& text) {
     if (kind != '+' && kind != '%' && kind != '*') break;
     const std::string number = s.substr(0, digits);
     if (kind == '%') {
-      char* end = nullptr;
-      const double percent = std::strtod(number.c_str(), &end);
-      if (end != number.c_str() + number.size() || percent < 0.0 ||
-          percent > 100.0) {
+      const Result<double> percent = ParseDouble(number);
+      if (!percent.ok() || percent.value() < 0.0 || percent.value() > 100.0) {
         return Status::InvalidArgument(
             "failpoint spec: bad probability: '" + number + "%'");
       }
-      spec.probability = percent / 100.0;
+      spec.probability = percent.value() / 100.0;
     } else if (kind == '+') {
       KGFD_ASSIGN_OR_RETURN(spec.skip, ParseUint(number, "skip count"));
     } else {

@@ -1,14 +1,23 @@
 #include "util/flags.h"
 
-#include <cstdlib>
+#include <map>
 #include <string_view>
+#include <utility>
 
 #include "util/string_util.h"
 
 namespace kgfd {
+namespace {
+
+template <typename T>
+T OrAbort(Result<T> value) {
+  return std::move(value).ValueOrDie("command line");
+}
+
+}  // namespace
 
 Result<Flags> Flags::Parse(int argc, char** argv) {
-  Flags flags;
+  std::map<std::string, std::string> values;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (!StartsWith(arg, "--")) {
@@ -18,58 +27,43 @@ Result<Flags> Flags::Parse(int argc, char** argv) {
     arg.remove_prefix(2);
     const size_t eq = arg.find('=');
     if (eq != std::string_view::npos) {
-      flags.values_[std::string(arg.substr(0, eq))] =
+      values[std::string(arg.substr(0, eq))] =
           std::string(arg.substr(eq + 1));
     } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
-      flags.values_[std::string(arg)] = argv[++i];
+      values[std::string(arg)] = argv[++i];
     } else {
-      flags.values_[std::string(arg)] = "true";
+      values[std::string(arg)] = "true";
     }
   }
+  Flags flags;
+  flags.config_ = ConfigFile::FromFlags(std::move(values));
   return flags;
-}
-
-bool Flags::Has(const std::string& name) const {
-  return values_.count(name) > 0;
 }
 
 std::string Flags::GetString(const std::string& name,
                              const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
+  return config_.GetString(name, default_value);
 }
 
 int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  Result<int64_t> v = ParseInt64(it->second);
-  if (!v.ok()) {
-    Status::InvalidArgument("--" + name + " " + v.status().message())
-        .AbortIfNotOk("command line");
-  }
-  return v.value();
+  return OrAbort(config_.GetInt(name, default_value));
 }
 
 size_t Flags::GetSize(const std::string& name, size_t default_value) const {
-  const int64_t v = GetInt(name, static_cast<int64_t>(default_value));
-  if (v < 0) {
-    Status::InvalidArgument("--" + name + " must be >= 0, got " +
-                            std::to_string(v))
-        .AbortIfNotOk("command line");
-  }
-  return static_cast<size_t>(v);
+  return OrAbort(config_.GetUint(name, default_value));
+}
+
+uint64_t Flags::GetUint64(const std::string& name,
+                          uint64_t default_value) const {
+  return OrAbort(config_.GetUint(name, default_value));
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value
-                             : std::strtod(it->second.c_str(), nullptr);
+  return OrAbort(config_.GetDouble(name, default_value));
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  return it->second != "false" && it->second != "0";
+  return OrAbort(config_.GetBool(name, default_value));
 }
 
 }  // namespace kgfd

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace kgfd {
@@ -51,6 +52,37 @@ Result<int64_t> ParseInt64(const std::string& text) {
     return Status::InvalidArgument("is out of the int64 range: " + text);
   }
   return static_cast<int64_t>(v);
+}
+
+Result<uint64_t> ParseUint64(const std::string& text) {
+  // strtoull would wrap a negative, so a sign is checked as an int64 first.
+  if (StartsWith(Trim(text), "-")) {
+    KGFD_ASSIGN_OR_RETURN(const int64_t v, ParseInt64(text));
+    if (v < 0) return Status::InvalidArgument("must be >= 0, got " + text);
+  }
+  char* end = nullptr;
+  errno = 0;  // strtoull reports overflow only through errno
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0') {
+    return Status::InvalidArgument("is not an integer: " + text);
+  }
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("is out of the uint64 range: " + text);
+  }
+  return static_cast<uint64_t>(v);
+}
+
+Result<double> ParseDouble(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0') {
+    return Status::InvalidArgument("is not a number: " + text);
+  }
+  if (errno == ERANGE && std::isinf(v)) {
+    return Status::InvalidArgument("is out of the double range: " + text);
+  }
+  return v;
 }
 
 }  // namespace kgfd

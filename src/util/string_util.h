@@ -29,6 +29,13 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// the tail of a sentence naming the flag or key.
 Result<int64_t> ParseInt64(const std::string& text);
 
+/// ParseInt64 over [0, 2^64 - 1]; a negative is "must be >= 0, got -1"
+/// instead of wrapping the way strtoull does.
+Result<uint64_t> ParseUint64(const std::string& text);
+
+/// A whole double: "is not a number: 0.5x", "is out of the double range".
+Result<double> ParseDouble(const std::string& text);
+
 }  // namespace kgfd
 
 #endif  // KGFD_UTIL_STRING_UTIL_H_

@@ -26,7 +26,7 @@ TEST(ConfigFileTest, CommentsAndBlanksIgnored) {
       "# full comment\n\n  key = value  # trailing comment\n");
   ASSERT_TRUE(config.ok());
   EXPECT_EQ(config.value().GetString("key", ""), "value");
-  EXPECT_EQ(config.value().entries().size(), 1u);
+  EXPECT_EQ(config.value().UnconsumedKeys().size(), 0u);
 }
 
 TEST(ConfigFileTest, RejectsMalformedLines) {
@@ -64,6 +64,19 @@ TEST(ConfigFileTest, GetIntRejectsOutOfRangeInsteadOfClamping) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ConfigFileTest, GetUintRejectsNegativesInsteadOfWrapping) {
+  auto config = ConfigFile::Parse(
+      "big = 18446744073709551615\nneg = -1\nover = 18446744073709551616\n");
+  ASSERT_TRUE(config.ok());
+  EXPECT_EQ(config.value().GetUint("big", 0).value(),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(config.value().GetUint("neg", 0).status().message(),
+            "config key 'neg' must be >= 0, got -1");
+  EXPECT_EQ(config.value().GetUint("over", 0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(config.value().GetUint("missing", 9).value(), 9u);
+}
+
 TEST(ConfigFileTest, DefaultsForMissingKeys) {
   auto config = ConfigFile::Parse("");
   ASSERT_TRUE(config.ok());
@@ -78,6 +91,10 @@ TEST(ConfigFileTest, TracksUnconsumedKeys) {
   const auto unconsumed = config.value().UnconsumedKeys();
   ASSERT_EQ(unconsumed.size(), 1u);
   EXPECT_EQ(unconsumed[0], "unused");
+  EXPECT_EQ(config.value().CheckAllRead().message(),
+            "unknown config key 'unused'");
+  (void)config.value().GetInt("unused", 0);
+  EXPECT_TRUE(config.value().CheckAllRead().ok());
 }
 
 TEST(ConfigFileTest, LoadMissingFileIsIoError) {
@@ -135,6 +152,35 @@ TEST(JobSpecTest, RejectsUnknownKeys) {
   ASSERT_TRUE(config.ok());
   EXPECT_FALSE(JobSpec::FromConfig(config.value()).ok());
 }
+
+// Each of these counts used to wrap to 2^64 - 1 through a size_t cast; a
+// run-kind POST with train.epochs = -1 would have trained forever.
+void ExpectNegativeRejected(const std::string& key) {
+  auto config = ConfigFile::Parse(key + " = -1\n");
+  ASSERT_TRUE(config.ok());
+  const auto spec = JobSpec::FromConfig(config.value());
+  ASSERT_FALSE(spec.ok()) << key;
+  EXPECT_EQ(spec.status().message(),
+            "config key '" + key + "' must be >= 0, got -1");
+}
+
+TEST(JobSpecTest, NegativeModelDimIsRejected) {
+  ExpectNegativeRejected("model.dim");
+}
+
+TEST(JobSpecTest, NegativeTrainEpochsIsRejected) {
+  ExpectNegativeRejected("train.epochs");
+}
+
+TEST(JobSpecTest, NegativeTrainBatchSizeIsRejected) {
+  ExpectNegativeRejected("train.batch_size");
+}
+
+TEST(JobSpecTest, NegativeTrainNegativesIsRejected) {
+  ExpectNegativeRejected("train.negatives");
+}
+
+TEST(JobSpecTest, NegativeSeedIsRejected) { ExpectNegativeRejected("seed"); }
 
 TEST(JobSpecTest, RejectsBadEnumValues) {
   auto bad_model = ConfigFile::Parse("model.type = GPT\n");

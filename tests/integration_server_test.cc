@@ -379,12 +379,32 @@ TEST_F(ServerTest, PerJobDeadlineStopsTheSweep) {
   EXPECT_EQ(facts.value().status_code, 200);
 }
 
-TEST_F(ServerTest, SeedPastInt64IsRejectedNotClamped) {
+TEST_F(ServerTest, SeedPastInt64RunsUnclampedAndPastUint64IsRejected) {
   StartServer();
-  // 2^63 used to parse as 2^63 - 1 and run with that seed.
+  // 2^63 is a valid uint64 seed: the job runs with exactly that seed (not
+  // 2^63 - 1, not a 400), so its facts equal a direct run's.
+  const std::string id =
+      SubmitJob(JobConfig("discovery.seed = 9223372036854775808\n"));
+  ASSERT_EQ(AwaitTerminal(id), "done");
+  auto facts = HttpGet(kHost, port_, "/jobs/" + id + "/facts");
+  ASSERT_TRUE(facts.ok());
+  ASSERT_EQ(facts.value().status_code, 200);
+  const DiskFixture& f = SharedDiskFixture();
+  DiscoveryOptions options;
+  options.top_n = 25;
+  options.max_candidates = 60;
+  options.strategy = DefaultSamplingStrategy();
+  options.seed = uint64_t{1} << 63;
+  const auto direct = DiscoverFacts(*f.model, f.dataset->train(), options);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(facts.value().body,
+            FormatFactsTsv(direct.value().facts, f.dataset->entity_vocab(),
+                           f.dataset->relation_vocab()));
+
+  // 2^64 does not fit: a 400 naming the key, not a clamp to 2^64 - 1.
   auto response =
       HttpFetch(kHost, port_, "POST", "/jobs",
-                JobConfig("discovery.seed = 9223372036854775808\n"));
+                JobConfig("discovery.seed = 18446744073709551616\n"));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().status_code, 400);
   EXPECT_NE(response.value().body.find("discovery.seed"), std::string::npos)

@@ -8,6 +8,9 @@
 ///                     --strategy ENTITY_FREQUENCY --top_n 500
 ///                     --max_candidates 500 --out facts.tsv
 ///
+/// Each command reads all of its flags first and rejects an unknown one,
+/// so a typo such as --top-n fails before any work starts.
+///
 /// Datasets are LibKGE-style directories (train.txt / valid.txt /
 /// test.txt, tab-separated names). Checkpoints are kgfd binary model
 /// files; discovered facts are written as TSV with a rank column.
@@ -19,12 +22,10 @@
 /// exits 130 (cancelled / Ctrl-C) or 124 (deadline exceeded).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "kgfd.h"
+#include "startup_flags.h"
 #include "util/flags.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -45,10 +46,9 @@ void PrintUsage() {
       "  tune:     --data DIR --model NAME --checkpoint FILE\n"
       "            [--dims A,B,..] [--lrs A,B,..] [--epochs N]\n"
       "  eval:     --data DIR --checkpoint FILE [--raw] [--buckets N]\n"
-      "  discover: --data DIR --checkpoint FILE [--strategy NAME]\n"
-      "            [--top_n N] [--max_candidates N] [--out FILE]\n"
-      "            [--type_filter] [--seed N] [--resume MANIFEST]\n"
-      "            [--adaptive_rounds N] [--adaptive_exploration X]\n"
+      "  discover: --data DIR --checkpoint FILE [--out FILE]\n"
+      "            [--resume MANIFEST] and the discovery options:\n"
+      "%s"
       "    --strategy values: %s\n"
       "    (default: env KGFD_DEFAULT_STRATEGY, else ENTITY_FREQUENCY;\n"
       "    ADAPTIVE schedules the budget across the comparative\n"
@@ -63,14 +63,14 @@ void PrintUsage() {
       "  eval/discover/run accept --embedding_backend ram|mmap (or env\n"
       "  KGFD_EMBEDDING_BACKEND) to pick checkpoint storage: mmap maps\n"
       "  the entity table zero-copy instead of copying it into RAM\n",
-      // Derived from AllSamplingStrategies() so the help text can never
-      // drift from what SamplingStrategyFromName accepts.
-      SamplingStrategyNameList().c_str());
+      // Printed from the option table and AllSamplingStrategies(), so the
+      // help text can never drift from what the parsers accept.
+      DiscoveryOptionsUsage().c_str(), SamplingStrategyNameList().c_str());
 }
 
-/// Writes the registry as JSON when --metrics_out is set.
-void MaybeWriteMetrics(const Flags& flags, const MetricsRegistry& registry) {
-  const std::string path = flags.GetString("metrics_out", "");
+/// Writes the registry as JSON to `path` (--metrics_out) unless empty.
+void MaybeWriteMetrics(const std::string& path,
+                       const MetricsRegistry& registry) {
   if (path.empty()) return;
   WriteMetricsJsonFile(registry, path).AbortIfNotOk("write metrics");
   std::printf("metrics written to %s\n", path.c_str());
@@ -116,8 +116,7 @@ bool StoppedEarly(const Status& status, const char* what, int* exit_code) {
   return false;
 }
 
-Result<Dataset> LoadData(const Flags& flags) {
-  const std::string dir = flags.GetString("data", "");
+Result<Dataset> LoadData(const std::string& dir) {
   if (dir.empty()) return Status::InvalidArgument("--data is required");
   return LoadDatasetDir(dir, dir);
 }
@@ -125,28 +124,19 @@ Result<Dataset> LoadData(const Flags& flags) {
 int Generate(const Flags& flags) {
   const std::string preset = flags.GetString("preset", "FB15K-237");
   const double scale = flags.GetDouble("scale", 100.0);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const uint64_t seed = flags.GetUint64("seed", 42);
   const std::string out = flags.GetString("out", "");
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
   if (out.empty()) {
     std::fprintf(stderr, "--out directory is required\n");
     return 1;
   }
-  SyntheticConfig config;
-  bool found = false;
-  for (const SyntheticConfig& c : AllDatasetConfigs(scale, seed)) {
-    if (c.name == preset) {
-      config = c;
-      found = true;
-    }
-  }
-  if (!found) {
-    std::fprintf(stderr,
-                 "unknown preset '%s' (FB15K-237, WN18RR, YAGO3-10, "
-                 "CoDEx-L)\n",
-                 preset.c_str());
+  const auto config = DatasetPresetConfig(preset, scale, seed);
+  if (!config.ok()) {
+    std::fprintf(stderr, "%s\n", config.status().message().c_str());
     return 1;
   }
-  auto dataset = GenerateSyntheticDataset(config);
+  auto dataset = GenerateSyntheticDataset(config.value());
   dataset.status().AbortIfNotOk("generate");
   // Synthetic data uses dense ids; give them stable names for the TSV.
   Dataset& d = dataset.value();
@@ -166,37 +156,40 @@ int Generate(const Flags& flags) {
 }
 
 int Train(const Flags& flags) {
-  auto dataset = LoadData(flags);
-  dataset.status().AbortIfNotOk("load dataset");
+  const std::string data = flags.GetString("data", "");
   const std::string checkpoint = flags.GetString("checkpoint", "");
-  if (checkpoint.empty()) {
-    std::fprintf(stderr, "--checkpoint output path is required\n");
-    return 1;
-  }
   auto kind = ModelKindFromName(flags.GetString("model", "TransE"));
   kind.status().AbortIfNotOk("model name");
-
-  ModelConfig model_config;
-  model_config.num_entities = dataset.value().num_entities();
-  model_config.num_relations = dataset.value().num_relations();
-  model_config.embedding_dim = flags.GetSize("dim", 32);
-
+  const size_t dim = flags.GetSize("dim", 32);
   TrainerConfig trainer_config;
   trainer_config.epochs = flags.GetSize("epochs", 25);
   trainer_config.batch_size = flags.GetSize("batch", 128);
   trainer_config.negatives_per_positive = flags.GetSize("negatives", 2);
   trainer_config.optimizer.learning_rate = flags.GetDouble("lr", 0.03);
-  trainer_config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  trainer_config.seed = flags.GetUint64("seed", 7);
   trainer_config.log_every_epochs = 5;
   auto loss = LossKindFromName(flags.GetString(
       "loss", kind.value() == ModelKind::kTransE ? "margin_ranking"
                                                  : "softplus"));
   loss.status().AbortIfNotOk("loss name");
   trainer_config.loss = loss.value();
+  const CancelContext cancel = MakeCancelContext(flags);
+  const std::string metrics_out = flags.GetString("metrics_out", "");
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
+  if (checkpoint.empty()) {
+    std::fprintf(stderr, "--checkpoint output path is required\n");
+    return 1;
+  }
+  auto dataset = LoadData(data);
+  dataset.status().AbortIfNotOk("load dataset");
+
+  ModelConfig model_config;
+  model_config.num_entities = dataset.value().num_entities();
+  model_config.num_relations = dataset.value().num_relations();
+  model_config.embedding_dim = dim;
 
   MetricsRegistry registry;
   trainer_config.metrics = &registry;
-  const CancelContext cancel = MakeCancelContext(flags);
   trainer_config.cancel = cancel;
   auto model = TrainModel(kind.value(), model_config,
                           dataset.value().train(), trainer_config);
@@ -215,46 +208,44 @@ int Train(const Flags& flags) {
   std::printf("trained %s (%zu parameters) -> %s\n",
               model.value()->name().c_str(),
               model.value()->NumParameters(), checkpoint.c_str());
-  MaybeWriteMetrics(flags, registry);
+  MaybeWriteMetrics(metrics_out, registry);
   return stopped == StoppedReason::kNone ? 0 : StopExitCode(stopped);
 }
 
 int Tune(const Flags& flags) {
-  auto dataset = LoadData(flags);
-  dataset.status().AbortIfNotOk("load dataset");
+  const std::string data = flags.GetString("data", "");
   const std::string checkpoint = flags.GetString("checkpoint", "");
-  if (checkpoint.empty()) {
-    std::fprintf(stderr, "--checkpoint output path is required\n");
-    return 1;
-  }
   auto kind = ModelKindFromName(flags.GetString("model", "TransE"));
   kind.status().AbortIfNotOk("model name");
-
-  ModelConfig model_config;
-  model_config.num_entities = dataset.value().num_entities();
-  model_config.num_relations = dataset.value().num_relations();
-  model_config.embedding_dim = 32;
   TrainerConfig trainer_config;
   trainer_config.epochs = flags.GetSize("epochs", 10);
   trainer_config.loss = kind.value() == ModelKind::kTransE
                             ? LossKind::kMarginRanking
                             : LossKind::kSoftplus;
-  trainer_config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-
+  trainer_config.seed = flags.GetUint64("seed", 7);
   GridSearchSpace space;
   for (const std::string& v :
        Split(flags.GetString("dims", "16,32"), ',')) {
-    const int64_t dim = std::move(ParseInt64(v)).ValueOrDie("--dims entry");
-    if (dim < 0) {
-      Status::InvalidArgument("--dims entries must be >= 0, got " + v)
-          .AbortIfNotOk("command line");
-    }
-    space.embedding_dims.push_back(static_cast<size_t>(dim));
+    space.embedding_dims.push_back(
+        std::move(ParseUint64(v)).ValueOrDie("--dims entry"));
   }
   for (const std::string& v :
        Split(flags.GetString("lrs", "0.01,0.05"), ',')) {
-    space.learning_rates.push_back(std::strtod(v.c_str(), nullptr));
+    space.learning_rates.push_back(
+        std::move(ParseDouble(v)).ValueOrDie("--lrs entry"));
   }
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
+  if (checkpoint.empty()) {
+    std::fprintf(stderr, "--checkpoint output path is required\n");
+    return 1;
+  }
+  auto dataset = LoadData(data);
+  dataset.status().AbortIfNotOk("load dataset");
+
+  ModelConfig model_config;
+  model_config.num_entities = dataset.value().num_entities();
+  model_config.num_relations = dataset.value().num_relations();
+  model_config.embedding_dim = 32;
 
   auto result = RunGridSearch(kind.value(), dataset.value(), model_config,
                               trainer_config, space);
@@ -280,15 +271,20 @@ int Tune(const Flags& flags) {
 }
 
 int Eval(const Flags& flags) {
-  auto dataset = LoadData(flags);
-  dataset.status().AbortIfNotOk("load dataset");
-  auto model = LoadModel(flags.GetString("checkpoint", ""));
-  model.status().AbortIfNotOk("load checkpoint");
+  const std::string data = flags.GetString("data", "");
+  const std::string checkpoint = flags.GetString("checkpoint", "");
   MetricsRegistry registry;
   EvalConfig config;
   config.filtered = !flags.GetBool("raw", false);
   config.metrics = &registry;
   config.cancel = MakeCancelContext(flags);
+  const size_t buckets = flags.GetSize("buckets", 0);
+  const std::string metrics_out = flags.GetString("metrics_out", "");
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
+  auto dataset = LoadData(data);
+  dataset.status().AbortIfNotOk("load dataset");
+  auto model = LoadModel(checkpoint);
+  model.status().AbortIfNotOk("load checkpoint");
   ThreadPool pool;
   pool.AttachMetrics(&registry);
   auto metrics = EvaluateLinkPrediction(*model.value(), dataset.value(),
@@ -298,7 +294,7 @@ int Eval(const Flags& flags) {
   if (StoppedEarly(metrics.status(), "evaluation", &exit_code)) {
     // Partial metrics would be misleading, so evaluation reports nothing —
     // but the registry (timings, counters so far) is still flushed.
-    MaybeWriteMetrics(flags, registry);
+    MaybeWriteMetrics(metrics_out, registry);
     return exit_code;
   }
   Table table({"metric", "value"});
@@ -311,14 +307,13 @@ int Eval(const Flags& flags) {
   table.AddRow({"ranks", Table::Fmt(metrics.value().num_ranks)});
   std::printf("%s", table.ToAscii().c_str());
 
-  const size_t buckets = flags.GetSize("buckets", 0);
   if (buckets > 1) {
     auto stratified = EvaluateByPopularity(
         *model.value(), dataset.value(), dataset.value().test(), buckets,
         config);
     if (StoppedEarly(stratified.status(), "stratified evaluation",
                      &exit_code)) {
-      MaybeWriteMetrics(flags, registry);
+      MaybeWriteMetrics(metrics_out, registry);
       return exit_code;
     }
     Table strat({"popularity bucket", "max degree", "MRR", "Hits@10",
@@ -334,36 +329,31 @@ int Eval(const Flags& flags) {
     std::printf("\nby predicted-entity popularity:\n%s",
                 strat.ToAscii().c_str());
   }
-  MaybeWriteMetrics(flags, registry);
+  MaybeWriteMetrics(metrics_out, registry);
   return 0;
 }
 
 int Discover(const Flags& flags) {
-  auto dataset = LoadData(flags);
-  dataset.status().AbortIfNotOk("load dataset");
-  auto model = LoadModel(flags.GetString("checkpoint", ""));
-  model.status().AbortIfNotOk("load checkpoint");
-
+  const std::string data = flags.GetString("data", "");
+  const std::string checkpoint = flags.GetString("checkpoint", "");
   DiscoveryOptions options;
-  auto strategy = SamplingStrategyFromName(flags.GetString(
-      "strategy", SamplingStrategyName(DefaultSamplingStrategy())));
-  strategy.status().AbortIfNotOk("strategy name");
-  options.strategy = strategy.value();
-  options.top_n = flags.GetSize("top_n", 500);
-  options.max_candidates = flags.GetSize("max_candidates", 500);
-  options.type_filter = flags.GetBool("type_filter", false);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 123));
-  options.adaptive_rounds =
-      flags.GetSize("adaptive_rounds", options.adaptive_rounds);
-  options.adaptive_exploration =
-      flags.GetDouble("adaptive_exploration", options.adaptive_exploration);
+  options.strategy = DefaultSamplingStrategy();
+  ApplyDiscoveryOptions(flags.config(), "", &options)
+      .AbortIfNotOk("command line");
   options.cancel = MakeCancelContext(flags);
+  const std::string manifest = flags.GetString("resume", "");
+  const std::string out = flags.GetString("out", "");
+  const std::string metrics_out = flags.GetString("metrics_out", "");
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
+  auto dataset = LoadData(data);
+  dataset.status().AbortIfNotOk("load dataset");
+  auto model = LoadModel(checkpoint);
+  model.status().AbortIfNotOk("load checkpoint");
 
   MetricsRegistry registry;
   options.metrics = &registry;
   ThreadPool pool;
   pool.AttachMetrics(&registry);
-  const std::string manifest = flags.GetString("resume", "");
   Result<DiscoveryResult> result = [&]() {
     if (manifest.empty()) {
       return DiscoverFacts(*model.value(), dataset.value().train(), options,
@@ -401,7 +391,6 @@ int Discover(const Flags& flags) {
               LongTailShare(result.value().facts,
                             dataset.value().train()));
 
-  const std::string out = flags.GetString("out", "");
   if (!out.empty()) {
     // WriteFactsTsv is the single source of the facts byte format — the
     // HTTP server's GET /jobs/<id>/facts emits the identical bytes.
@@ -410,12 +399,15 @@ int Discover(const Flags& flags) {
         .AbortIfNotOk("write facts");
     std::printf("facts written to %s\n", out.c_str());
   }
-  MaybeWriteMetrics(flags, registry);
+  MaybeWriteMetrics(metrics_out, registry);
   return stopped == StoppedReason::kNone ? 0 : StopExitCode(stopped);
 }
 
 int Run(const Flags& flags) {
   const std::string path = flags.GetString("config", "");
+  const CancelContext cancel = MakeCancelContext(flags);
+  const std::string metrics_out = flags.GetString("metrics_out", "");
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
   if (path.empty()) {
     std::fprintf(stderr, "--config FILE is required\n");
     return 1;
@@ -426,11 +418,11 @@ int Run(const Flags& flags) {
   spec.status().AbortIfNotOk("parse job spec");
   MetricsRegistry registry;
   spec.value().metrics = &registry;
-  spec.value().cancel = MakeCancelContext(flags);
+  spec.value().cancel = cancel;
   auto result = RunJob(spec.value());
   int exit_code = 0;
   if (StoppedEarly(result.status(), "job", &exit_code)) {
-    MaybeWriteMetrics(flags, registry);
+    MaybeWriteMetrics(metrics_out, registry);
     return exit_code;
   }
 
@@ -456,7 +448,7 @@ int Run(const Flags& flags) {
                 d.stats.num_facts, DiscoveryMrr(d.facts),
                 d.stats.total_seconds, d.stats.FactsPerHour());
   }
-  MaybeWriteMetrics(flags, registry);
+  MaybeWriteMetrics(metrics_out, registry);
   return stopped == StoppedReason::kNone ? 0 : StopExitCode(stopped);
 }
 
@@ -479,39 +471,10 @@ int main(int argc, char** argv) {
   // stops at its next checkpoint, partial outputs are flushed, and the
   // command exits 130 (124 when a --deadline_s budget expired instead).
   kgfd::InstallSignalCancellation(&kgfd::GlobalCancelToken());
-  // A typo'd kernel backend should be a clean startup error, not an abort
-  // mid-scoring the first time a kernel dispatches.
-  const kgfd::Status backend = kgfd::kernels::ValidateKernelBackendEnv();
-  if (!backend.ok()) {
-    std::fprintf(stderr, "%s\n", backend.ToString().c_str());
+  const kgfd::Status startup = kgfd::ApplyStartupFlags(flags.value());
+  if (!startup.ok()) {
+    std::fprintf(stderr, "%s\n", startup.ToString().c_str());
     return 1;
-  }
-  // --embedding_backend ram|mmap overrides KGFD_EMBEDDING_BACKEND; the
-  // flag is exported to the environment so every LoadModel call site
-  // (including config-driven `run` jobs) resolves the same backend.
-  const std::string embedding_backend =
-      flags.value().GetString("embedding_backend", "");
-  if (!embedding_backend.empty()) {
-    setenv("KGFD_EMBEDDING_BACKEND", embedding_backend.c_str(), 1);
-  }
-  const kgfd::Status storage = kgfd::ValidateEmbeddingBackendEnv();
-  if (!storage.ok()) {
-    std::fprintf(stderr, "%s\n", storage.ToString().c_str());
-    return 1;
-  }
-  // Same early-validation treatment for KGFD_DEFAULT_STRATEGY: a typo must
-  // not silently fall back to ENTITY_FREQUENCY.
-  const kgfd::Status default_strategy = kgfd::ValidateDefaultStrategyEnv();
-  if (!default_strategy.ok()) {
-    std::fprintf(stderr, "%s\n", default_strategy.ToString().c_str());
-    return 1;
-  }
-  const std::string failpoints =
-      flags.value().GetString("failpoints", "");
-  if (!failpoints.empty()) {
-    kgfd::FailPoints::Instance()
-        .EnableFromSpec(failpoints)
-        .AbortIfNotOk("parse --failpoints");
   }
   if (command == "generate") return kgfd::Generate(flags.value());
   if (command == "train") return kgfd::Train(flags.value());

@@ -50,6 +50,10 @@ int PrintInfo(const std::string& path) {
 
 int Main(const Flags& flags) {
   const std::string in = flags.GetString("in", "");
+  const bool info = flags.GetBool("info", false);
+  const std::string out = flags.GetString("out", "");
+  const std::string dtype_name = flags.GetString("dtype", "int8");
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
   if (in.empty()) {
     std::fprintf(stderr,
                  "usage: kgfd_quantize --in FILE --out FILE "
@@ -57,14 +61,13 @@ int Main(const Flags& flags) {
                  "       kgfd_quantize --in FILE --info\n");
     return 1;
   }
-  if (flags.GetBool("info", false)) return PrintInfo(in);
+  if (info) return PrintInfo(in);
 
-  const std::string out = flags.GetString("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "--out is required (or use --info)\n");
     return 1;
   }
-  auto dtype = EmbeddingDtypeFromName(flags.GetString("dtype", "int8"));
+  auto dtype = EmbeddingDtypeFromName(dtype_name);
   if (!dtype.ok() || dtype.value() == EmbeddingDtype::kFloat32) {
     std::fprintf(stderr, "--dtype must be int8 or int16\n");
     return 1;

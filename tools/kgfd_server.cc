@@ -18,11 +18,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 
 #include "kgfd.h"
+#include "startup_flags.h"
 #include "util/flags.h"
 #include "util/thread_pool.h"
 
@@ -38,46 +38,40 @@ CancellationToken& GlobalServerCancelToken() {
 
 int ServerMain(const Flags& flags) {
   const size_t port = flags.GetSize("port", 8080);
+  const std::string bind = flags.GetString("bind", "127.0.0.1");
+  const size_t threads = flags.GetSize("threads", 0);
+  // The JobManager's own defaults are the flags' defaults.
+  JobManager::Options job_options;
+  job_options.work_dir = flags.GetString("work_dir", "kgfd_jobs");
+  job_options.max_queued = flags.GetSize("max_queued", job_options.max_queued);
+  job_options.stall_timeout_s =
+      flags.GetDouble("job_stall_timeout_s", job_options.stall_timeout_s);
+  job_options.retry.max_attempts =
+      flags.GetSize("job_retries", job_options.retry.max_attempts);
+  // 0 keeps the journal's default segment size.
+  const uint64_t journal_rotate = flags.GetUint64("journal_rotate_bytes", 0);
+  if (journal_rotate > 0) job_options.journal.rotate_bytes = journal_rotate;
+  job_options.journal.fsync = flags.GetBool("journal_fsync", false);
+  job_options.cancel_queued_on_drain =
+      !flags.GetBool("drain_keep_queued", false);
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
   if (port > 65535) {
     std::fprintf(stderr, "--port must be in [0, 65535]\n");
     return 1;
   }
-  const std::string bind = flags.GetString("bind", "127.0.0.1");
-  const std::string work_dir = flags.GetString("work_dir", "kgfd_jobs");
-  const size_t threads = flags.GetSize("threads", 0);
-  const int64_t max_queued = flags.GetInt("max_queued", 16);
-  if (max_queued <= 0) {
-    std::fprintf(stderr, "--max_queued must be positive\n");
-    return 1;
-  }
-  const double stall_timeout_s = flags.GetDouble("job_stall_timeout_s", 0.0);
-  const int64_t job_retries = flags.GetInt("job_retries", 1);
-  if (stall_timeout_s < 0 || job_retries <= 0) {
+  if (job_options.max_queued == 0 || job_options.stall_timeout_s < 0 ||
+      job_options.retry.max_attempts == 0) {
     std::fprintf(stderr,
-                 "--job_stall_timeout_s must be >= 0 and --job_retries "
-                 "must be positive\n");
+                 "--max_queued and --job_retries must be positive and "
+                 "--job_stall_timeout_s must be >= 0\n");
     return 1;
   }
-  const int64_t journal_rotate = flags.GetInt("journal_rotate_bytes", 0);
-
-  EnsureJobWorkDir(work_dir).AbortIfNotOk("create --work_dir");
+  EnsureJobWorkDir(job_options.work_dir).AbortIfNotOk("create --work_dir");
 
   MetricsRegistry metrics;
   ThreadPool pool(threads);
-
-  JobManager::Options job_options;
-  job_options.work_dir = work_dir;
-  job_options.max_queued = static_cast<size_t>(max_queued);
   job_options.pool = &pool;
   job_options.metrics = &metrics;
-  job_options.stall_timeout_s = stall_timeout_s;
-  job_options.retry.max_attempts = static_cast<size_t>(job_retries);
-  if (journal_rotate > 0) {
-    job_options.journal.rotate_bytes = static_cast<uint64_t>(journal_rotate);
-  }
-  job_options.journal.fsync = flags.GetBool("journal_fsync", false);
-  job_options.cancel_queued_on_drain =
-      !flags.GetBool("drain_keep_queued", false);
   JobManager jobs(std::move(job_options));
 
   // Recovery summary — one parseable line (server_smoke.sh contract 5 and
@@ -144,39 +138,10 @@ int main(int argc, char** argv) {
                  "[--journal_fsync] [--drain_keep_queued]\n");
     return 1;
   }
-  // A typo'd kernel backend should be a startup error, not an abort the
-  // first time a job scores a triple.
-  const kgfd::Status backend = kgfd::kernels::ValidateKernelBackendEnv();
-  if (!backend.ok()) {
-    std::fprintf(stderr, "%s\n", backend.ToString().c_str());
+  const kgfd::Status startup = kgfd::ApplyStartupFlags(flags.value());
+  if (!startup.ok()) {
+    std::fprintf(stderr, "%s\n", startup.ToString().c_str());
     return 1;
-  }
-  // --embedding_backend ram|mmap overrides KGFD_EMBEDDING_BACKEND; job
-  // workers resolve the backend from the environment on every model load
-  // (and key the model cache by it).
-  const std::string embedding_backend =
-      flags.value().GetString("embedding_backend", "");
-  if (!embedding_backend.empty()) {
-    setenv("KGFD_EMBEDDING_BACKEND", embedding_backend.c_str(), 1);
-  }
-  const kgfd::Status storage = kgfd::ValidateEmbeddingBackendEnv();
-  if (!storage.ok()) {
-    std::fprintf(stderr, "%s\n", storage.ToString().c_str());
-    return 1;
-  }
-  // A typo'd KGFD_DEFAULT_STRATEGY must fail at startup, not silently
-  // default every job that omits discovery.strategy to ENTITY_FREQUENCY.
-  const kgfd::Status default_strategy = kgfd::ValidateDefaultStrategyEnv();
-  if (!default_strategy.ok()) {
-    std::fprintf(stderr, "%s\n", default_strategy.ToString().c_str());
-    return 1;
-  }
-  const std::string failpoints =
-      flags.value().GetString("failpoints", "");
-  if (!failpoints.empty()) {
-    kgfd::FailPoints::Instance()
-        .EnableFromSpec(failpoints)
-        .AbortIfNotOk("parse --failpoints");
   }
   kgfd::InstallSignalCancellation(&kgfd::GlobalServerCancelToken());
   return kgfd::ServerMain(flags.value());

@@ -6,7 +6,9 @@
 #   1. the facts a job returns are BYTE-IDENTICAL to `kgfd_cli discover`
 #      run with the same options on the same artifacts;
 #   2. a second identical job is served from the shared caches (asserted
-#      via /metrics counters, and again byte-identical);
+#      via /metrics counters, and again byte-identical); a job that sets
+#      discovery.filtered_ranking and discovery.max_iterations matches
+#      `kgfd_cli discover --filtered_ranking false --max_iterations 3`;
 #   3. SIGTERM drains gracefully and the server exits 0;
 #   4. the whole stack rerun under the mmap embedding backend (with full
 #      payload verification) serves the same bytes as the ram run;
@@ -76,9 +78,9 @@ discovery.top_n = 50
 discovery.max_candidates = 100
 CFG
 
-submit_and_wait() {  # prints the job id; fails the script on any error
+submit_and_wait() {  # [CONFIG] prints the job id; fails on any error
   local id state
-  id="$(curl -fsS -X POST "$BASE/jobs" --data-binary @job.cfg)" ||
+  id="$(curl -fsS -X POST "$BASE/jobs" --data-binary "@${1:-job.cfg}")" ||
     fail "POST /jobs"
   for _ in $(seq 1 300); do
     state="$(curl -fsS "$BASE/jobs/$id" | sed -n 's/^state = //p')"
@@ -114,6 +116,21 @@ counter() { sed -n "s/^counter $1 //p" metrics.txt; }
 [ "$(counter discovery.shared_scores.hits)" = \
   "$(counter discovery.shared_scores.misses)" ] ||
   fail "rerun was not fully cache-served (hits != misses)"
+
+# Every discovery option reaches both front ends alike, including the
+# ones only a POST could set before they shared one option table.
+"$CLI" discover --data data --checkpoint model.bin \
+  --top_n 50 --max_candidates 100 --filtered_ranking false \
+  --max_iterations 3 --out cli_facts_knobs.tsv >/dev/null 2>&1 ||
+  fail "kgfd_cli discover --filtered_ranking false --max_iterations 3"
+{ cat job.cfg; printf 'discovery.filtered_ranking = false\n'
+  printf 'discovery.max_iterations = 3\n'; } >job_knobs.cfg
+ID_KNOBS="$(submit_and_wait job_knobs.cfg)" || exit 1
+curl -fsS "$BASE/jobs/$ID_KNOBS/facts" >http_facts_knobs.tsv ||
+  fail "GET facts ($ID_KNOBS)"
+[ -s cli_facts_knobs.tsv ] || fail "knob run wrote no facts"
+cmp -s cli_facts_knobs.tsv http_facts_knobs.tsv ||
+  fail "facts from job $ID_KNOBS differ from kgfd_cli output (same knobs)"
 
 # Contract 3: SIGTERM drains and exits 0.
 kill -TERM "$SRVPID"
