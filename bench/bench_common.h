@@ -35,6 +35,7 @@ inline ExperimentConfig ConfigFromFlags(int argc, char** argv) {
   config.seed = flags.GetUint64("seed", 42);
   config.discovery.top_n = flags.GetSize("top_n", 100);
   config.discovery.max_candidates = flags.GetSize("max_candidates", 200);
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
   return config;
 }
 

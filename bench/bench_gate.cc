@@ -338,6 +338,7 @@ int Run(int argc, char** argv) {
   Flags flags = std::move(Flags::Parse(argc, argv)).ValueOrDie("flags");
   const double scale = flags.GetDouble("scale", 1.0);
   const std::string out_path = flags.GetString("out", "BENCH_gate.json");
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
   auto scaled = [scale](size_t n) {
     return std::max<size_t>(1, static_cast<size_t>(std::llround(n * scale)));
   };

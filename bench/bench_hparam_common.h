@@ -41,13 +41,14 @@ inline HparamSetup MakeHparamSetup(int argc, char** argv,
   Flags flags = std::move(Flags::Parse(argc, argv)).ValueOrDie("flags");
   const double scale = flags.GetDouble("scale", default_scale);
   const uint64_t seed = flags.GetUint64("seed", 42);
-  Dataset dataset =
-      std::move(GenerateSyntheticDataset(Fb15k237Config(scale, seed)))
-          .ValueOrDie("dataset");
   ExperimentConfig config;
   config.embedding_dim = flags.GetSize("dim", 16);
   config.epochs = flags.GetSize("epochs", 8);
   config.seed = seed;
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
+  Dataset dataset =
+      std::move(GenerateSyntheticDataset(Fb15k237Config(scale, seed)))
+          .ValueOrDie("dataset");
   std::printf("setup: %s at scale %.0f (%zu entities, %zu relations, %zu "
               "train triples), TransE dim=%zu\n\n",
               dataset.name().c_str(), scale, dataset.num_entities(),

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   using namespace kgfd;
   Flags flags = std::move(Flags::Parse(argc, argv)).ValueOrDie("flags");
   const double scale = flags.GetDouble("scale", 200.0);
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
 
   Table table({"dataset", "entities", "relations", "train", "avg_deg",
                "avg_cc", "tri_sum", "density", "inv_leakage"});

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   using namespace kgfd;
   Flags flags = std::move(Flags::Parse(argc, argv)).ValueOrDie("flags");
   const double scale = flags.GetDouble("scale", 200.0);
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
 
   Dataset dataset =
       std::move(GenerateSyntheticDataset(CodexLConfig(scale, 42)))

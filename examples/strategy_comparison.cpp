@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   Flags flags = std::move(Flags::Parse(argc, argv)).ValueOrDie("flags");
   const double scale = flags.GetDouble("scale", 250.0);
   const std::string model_name = flags.GetString("model", "TransE");
+  flags.config().CheckAllRead().AbortIfNotOk("command line");
 
   Dataset dataset =
       std::move(GenerateSyntheticDataset(Fb15k237Config(scale, 42)))

@@ -17,7 +17,7 @@ static_assert(std::is_same_v<size_t, uint64_t>,
               "counts and seeds share the unsigned row type");
 
 /// One DiscoveryOptions knob of the front ends: `kgfd_cli discover` reads
-/// it as `--<name>`, run-kind configs and discover-kind POST bodies as
+/// it as `--<name>`, `kgfd_cli run` configs and kgfd_server POST bodies as
 /// `discovery.<name>`. The table of these rows is the only place a knob's
 /// key is spelled. cache_weights, rank_aggregation and relations are
 /// settable from code only.

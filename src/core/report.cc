@@ -1,7 +1,6 @@
 #include "core/report.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -90,12 +89,12 @@ Result<std::vector<DiscoveredFact>> ReadFactsTsv(const std::string& path,
     fact.triple.subject = entities->AddOrGet(Trim(fields[0]));
     fact.triple.relation = relations->AddOrGet(Trim(fields[1]));
     fact.triple.object = entities->AddOrGet(Trim(fields[2]));
-    char* end = nullptr;
-    fact.rank = std::strtod(fields[3].c_str(), &end);
-    if (end == fields[3].c_str()) {
+    const Result<double> rank = ParseDouble(Trim(fields[3]));
+    if (!rank.ok()) {
       return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
-                                     ": bad rank value");
+                                     ": rank " + rank.status().message());
     }
+    fact.rank = rank.value();
     out.push_back(fact);
   }
   return out;

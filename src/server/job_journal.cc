@@ -14,33 +14,36 @@
 namespace kgfd {
 namespace {
 
-bool ParseRecordPayload(std::string_view payload, JournalRecord* out) {
+/// Type byte of the per-relation progress record older builds wrote (a job
+/// id and two u64 counters). Recovery never read it; replay skips it.
+constexpr uint8_t kLegacyProgressType = 3;
+
+enum class Parsed { kRecord, kSkipped, kBad };
+
+Parsed ParseRecordPayload(std::string_view payload, JournalRecord* out) {
   PayloadReader in{payload};
   uint8_t type = 0;
-  if (!in.Get(&type)) return false;
+  if (!in.Get(&type) || !in.GetString(&out->job_id)) return Parsed::kBad;
+  out->type = static_cast<JournalRecord::Type>(type);
+  bool ok = false;
   switch (type) {
     case static_cast<uint8_t>(JournalRecord::Type::kSubmitted):
-    case static_cast<uint8_t>(JournalRecord::Type::kStarted):
-    case static_cast<uint8_t>(JournalRecord::Type::kProgress):
-    case static_cast<uint8_t>(JournalRecord::Type::kTerminal):
+      ok = in.GetString(&out->config_text);
       break;
-    default:
-      return false;
+    case static_cast<uint8_t>(JournalRecord::Type::kStarted):
+      ok = in.Get(&out->attempt);
+      break;
+    case static_cast<uint8_t>(JournalRecord::Type::kTerminal):
+      ok = in.Get(&out->terminal_state) && in.GetString(&out->error) &&
+           in.Get(&out->num_facts);
+      break;
+    case kLegacyProgressType: {
+      uint64_t relations = 0, rounds = 0;
+      return in.Get(&relations) && in.Get(&rounds) ? Parsed::kSkipped
+                                                   : Parsed::kBad;
+    }
   }
-  out->type = static_cast<JournalRecord::Type>(type);
-  if (!in.GetString(&out->job_id)) return false;
-  switch (out->type) {
-    case JournalRecord::Type::kSubmitted:
-      return in.GetString(&out->config_text);
-    case JournalRecord::Type::kStarted:
-      return in.Get(&out->attempt);
-    case JournalRecord::Type::kProgress:
-      return in.Get(&out->relations_done) && in.Get(&out->rounds_done);
-    case JournalRecord::Type::kTerminal:
-      return in.Get(&out->terminal_state) && in.GetString(&out->error) &&
-             in.Get(&out->num_facts);
-  }
-  return false;
+  return ok ? Parsed::kRecord : Parsed::kBad;
 }
 
 /// journal.NNNNNN.log -> NNNNNN; 0 when the name does not match.
@@ -101,10 +104,6 @@ std::string JobJournal::EncodePayload(const JournalRecord& record) {
     case JournalRecord::Type::kStarted:
       Put(&payload, record.attempt);
       break;
-    case JournalRecord::Type::kProgress:
-      Put(&payload, record.relations_done);
-      Put(&payload, record.rounds_done);
-      break;
     case JournalRecord::Type::kTerminal:
       Put(&payload, record.terminal_state);
       PutString(&payload, record.error);
@@ -158,9 +157,11 @@ Result<std::unique_ptr<JobJournal>> JobJournal::Open(
           journal->SegmentPathFor(seq), kJournalFormat,
           [replay](std::string_view payload) {
             JournalRecord record;
-            if (!ParseRecordPayload(payload, &record)) return false;
-            replay->records.push_back(std::move(record));
-            return true;
+            const Parsed parsed = ParseRecordPayload(payload, &record);
+            if (parsed == Parsed::kRecord) {
+              replay->records.push_back(std::move(record));
+            }
+            return parsed != Parsed::kBad;
           },
           journal->LogOptions(), &replay->truncated_bytes));
 

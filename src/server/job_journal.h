@@ -13,7 +13,7 @@
 namespace kgfd {
 
 /// Durable write-ahead journal for the job queue: every job lifecycle
-/// transition (submitted / started / progress / terminal) is appended to a
+/// transition (submitted / started / terminal) is appended to a
 /// segment file under the server's --work_dir, so a crashed or redeployed
 /// server can rebuild its queue on boot instead of silently dropping every
 /// accepted job (see JobManager recovery in job_manager.h).
@@ -41,15 +41,16 @@ namespace kgfd {
 inline constexpr FramedFormat kJournalFormat{"KGFDJNL1", 1, "job journal"};
 
 /// One journal entry. The record grammar (DESIGN.md §10): a `kSubmitted`
-/// record creates a job, `kStarted` marks one execution attempt,
-/// `kProgress` is a cosmetic relations/rounds heartbeat, and `kTerminal`
-/// closes the job. Replay tolerates duplicated, reordered, or orphaned
-/// records (each rule is defensive; see JobManager::RecoverFromJournal).
+/// record creates a job, `kStarted` marks one execution attempt, and
+/// `kTerminal` closes the job. Type 3 was a per-relation progress record;
+/// nothing writes it any more (progress lives in the job's resume
+/// manifest), and replay skips it so older journals still load. Replay
+/// tolerates duplicated, reordered, or orphaned records (each rule is
+/// defensive; see JobManager::RecoverFromJournal).
 struct JournalRecord {
   enum class Type : uint8_t {
     kSubmitted = 1,
     kStarted = 2,
-    kProgress = 3,
     kTerminal = 4,
   };
 
@@ -61,9 +62,6 @@ struct JournalRecord {
   /// restarts, so a job that crashes the server repeatedly is quarantined
   /// instead of crash-looping forever).
   uint32_t attempt = 0;
-  /// kProgress.
-  uint64_t relations_done = 0;
-  uint64_t rounds_done = 0;
   /// kTerminal: stable on-disk encoding of JobState (see
   /// JobStateToJournal / JobStateFromJournal in job_manager.cc).
   uint8_t terminal_state = 0;

@@ -139,6 +139,11 @@ Result<JobRequest> JobRequest::Parse(const std::string& config_text) {
   request.config_text = config_text;
 
   const std::string kind = config.GetString("job.kind", "discover");
+  if (kind != "discover") {
+    return Status::InvalidArgument(
+        "job.kind must be 'discover', got '" + kind +
+        "'; run a full pipeline with `kgfd_cli run --config`");
+  }
   KGFD_ASSIGN_OR_RETURN(request.deadline_s,
                         config.GetDouble("deadline_s", 0.0));
   if (request.deadline_s < 0) {
@@ -146,19 +151,6 @@ Result<JobRequest> JobRequest::Parse(const std::string& config_text) {
                                    std::to_string(request.deadline_s));
   }
 
-  if (kind == "run") {
-    request.kind = Kind::kRun;
-    // Parsed at POST time, so a bad submission fails now, not minutes
-    // later inside the runner.
-    KGFD_ASSIGN_OR_RETURN(request.spec, JobSpec::FromConfig(config));
-    return request;
-  }
-  if (kind != "discover") {
-    return Status::InvalidArgument(
-        "job.kind must be 'discover' or 'run', got '" + kind + "'");
-  }
-
-  request.kind = Kind::kDiscover;
   request.data_dir = config.GetString("data.dir", "");
   if (request.data_dir.empty()) {
     return Status::InvalidArgument("discover job requires data.dir");
@@ -249,7 +241,6 @@ void JobManager::RecoverFromJournal(std::vector<JournalRecord> records) {
   struct Pending {
     std::string config_text;
     uint32_t attempts = 0;
-    uint64_t relations_done = 0;
     bool terminal = false;
     uint8_t terminal_state = 0;
     std::string error;
@@ -276,12 +267,6 @@ void JobManager::RecoverFromJournal(std::vector<JournalRecord> records) {
           it->second.attempts = std::max(it->second.attempts, record.attempt);
         }
         break;
-      case JournalRecord::Type::kProgress:
-        if (it != pending.end()) {
-          it->second.relations_done =
-              std::max(it->second.relations_done, record.relations_done);
-        }
-        break;
       case JournalRecord::Type::kTerminal:
         if (it != pending.end()) {
           it->second.terminal = true;
@@ -300,8 +285,6 @@ void JobManager::RecoverFromJournal(std::vector<JournalRecord> records) {
     job->id = id;
     job->recovered = true;
     job->attempts = entry.attempts;
-    job->relations_done.store(entry.relations_done,
-                              std::memory_order_relaxed);
     job->token = std::make_unique<CancellationToken>();
     next_id_ = std::max(next_id_, JobIdNumber(id) + 1);
 
@@ -318,16 +301,16 @@ void JobManager::RecoverFromJournal(std::vector<JournalRecord> records) {
 
     if (entry.terminal) {
       raw->state = JobStateFromJournal(entry.terminal_state);
-      auto facts =
-          ReadFramedRecord(FactsPathFor(options_.work_dir, id), kFactsFormat);
+      const bool facts_ok =
+          ReadFramedRecord(FactsPathFor(options_.work_dir, id), kFactsFormat)
+              .ok();
       // A done job whose facts file is missing or fails its CRC re-runs
       // below (a no-op resume through its finished manifest) instead of
       // serving a short body; other outcomes stand, claiming no facts they
       // cannot serve.
-      if (facts.ok() || raw->state != JobState::kDone || !parsed.ok()) {
+      if (facts_ok || raw->state != JobState::kDone || !parsed.ok()) {
         raw->error = std::move(entry.error);
-        raw->num_facts = facts.ok() ? entry.num_facts : 0;
-        raw->facts_tsv = facts.ok() ? std::move(facts).value() : "";
+        raw->num_facts = facts_ok ? entry.num_facts : 0;
         ++recovery_.jobs_restored;
         continue;
       }
@@ -397,8 +380,7 @@ void JobManager::JournalAppendLocked(const JournalRecord& record) {
 
 std::vector<JournalRecord> JobManager::JournalSnapshotLocked() const {
   // Compacted live state: per job, its submission, its attempt high-water
-  // mark, and its terminal record. Progress records are cosmetic and are
-  // dropped by compaction.
+  // mark, and its terminal record.
   std::vector<JournalRecord> snapshot;
   snapshot.reserve(job_order_.size() * 3);
   for (const Job* job : job_order_) {
@@ -427,7 +409,8 @@ std::vector<JournalRecord> JobManager::JournalSnapshotLocked() const {
   return snapshot;
 }
 
-void JobManager::PersistTerminalLocked(Job* job) {
+void JobManager::PersistTerminalLocked(Job* job,
+                                       const std::string& facts_tsv) {
   if (crashed_.load(std::memory_order_acquire)) return;
   // The deterministic pre-terminal-flush crash point: a triggered spec
   // here means the job finished in memory but neither its facts file nor
@@ -443,7 +426,7 @@ void JobManager::PersistTerminalLocked(Job* job) {
   // restart.
   const Status facts_written =
       WriteFramedRecord(FactsPathFor(options_.work_dir, job->id),
-                        kFactsFormat, job->facts_tsv, options_.journal.fsync);
+                        kFactsFormat, facts_tsv, options_.journal.fsync);
   if (!facts_written.ok()) {
     BumpCounter(kServerJournalErrorsCounter);
     return;
@@ -518,18 +501,21 @@ Result<JobStatus> JobManager::GetStatus(const std::string& id) const {
 }
 
 Result<std::string> JobManager::FactsTsv(const std::string& id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return Status::NotFound("no such job: " + id);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) {
+      return Status::NotFound("no such job: " + id);
+    }
+    const JobState state = it->second->state;
+    if (state == JobState::kQueued || state == JobState::kRunning) {
+      return Status::FailedPrecondition(
+          "job " + id + " is " + JobStateName(state) +
+          "; facts are available once it is terminal");
+    }
   }
-  const Job& job = *it->second;
-  if (job.state == JobState::kQueued || job.state == JobState::kRunning) {
-    return Status::FailedPrecondition(
-        "job " + id + " is " + JobStateName(job.state) +
-        "; facts are available once it is terminal");
-  }
-  return job.facts_tsv;
+  // Terminal jobs never change their facts file, so it is read unlocked.
+  return ReadFramedRecord(FactsPathFor(options_.work_dir, id), kFactsFormat);
 }
 
 Status JobManager::Cancel(const std::string& id) {
@@ -703,13 +689,15 @@ void JobManager::RunOne(Job* job) {
       JournalAppendLocked(record);
     }
 
-    const Status status = job->request.kind == JobRequest::Kind::kDiscover
-                              ? RunDiscoverJob(job)
-                              : RunPipelineJob(job);
+    Result<std::string> facts = RunDiscoverJob(job);
+    const Status status = facts.status();
+    // Only handed to PersistTerminalLocked; a failed attempt has no facts.
+    const std::string facts_tsv = facts.ok() ? std::move(facts).value() : "";
 
     std::unique_lock<std::mutex> lock(mu_);
     if (crashed_.load(std::memory_order_acquire)) return;
     job->last_heartbeat_ns.store(0, std::memory_order_relaxed);
+    if (!status.ok()) job->num_facts = 0;
     const bool stalled =
         job->stall_cancelled.load(std::memory_order_acquire);
     const bool user_stop = job->user_cancelled ||
@@ -729,7 +717,7 @@ void JobManager::RunOne(Job* job) {
         !status.ok() && !user_stop &&
         status.code() != StatusCode::kCancelled &&
         status.code() != StatusCode::kDeadlineExceeded &&
-        RetryableCode(options_.retry, status.code());
+        RetryableCode(status.code());
 
     if (stall_failure || retryable_error) {
       if (job->attempts <
@@ -756,7 +744,7 @@ void JobManager::RunOne(Job* job) {
         job->error = status.ToString();
       }
       job->runtime_seconds = timer.ElapsedSeconds();
-      PersistTerminalLocked(job);
+      PersistTerminalLocked(job, facts_tsv);
       BumpCounter(kServerJobsCompletedCounter);
       return;
     }
@@ -773,8 +761,8 @@ void JobManager::RunOne(Job* job) {
       job->error = status.ToString();
     } else {
       // An OK run may still have stopped early (graceful degradation):
-      // partial facts were captured by the Run*Job body, the state records
-      // why the sweep ended.
+      // facts_tsv holds the partial facts, the state records why the sweep
+      // ended.
       switch (job->stopped_reason) {
         case StoppedReason::kCancelled:
           job->state = JobState::kCancelled;
@@ -787,7 +775,7 @@ void JobManager::RunOne(Job* job) {
           break;
       }
     }
-    PersistTerminalLocked(job);
+    PersistTerminalLocked(job, facts_tsv);
     BumpCounter(kServerJobsCompletedCounter);
     return;
   }
@@ -846,7 +834,7 @@ Result<std::shared_ptr<JobManager::LoadedModel>> JobManager::GetOrLoadModel(
   return loaded;
 }
 
-Status JobManager::RunDiscoverJob(Job* job) {
+Result<std::string> JobManager::RunDiscoverJob(Job* job) {
   KGFD_ASSIGN_OR_RETURN(
       const std::shared_ptr<LoadedModel> loaded,
       GetOrLoadModel(job->request.data_dir, job->request.checkpoint));
@@ -863,17 +851,8 @@ Status JobManager::RunDiscoverJob(Job* job) {
   options.on_relation_complete = [this, job](RelationCompletion&&) {
     job->relations_done.fetch_add(1, std::memory_order_relaxed);
     Heartbeat(job);
-    std::lock_guard<std::mutex> lock(mu_);
-    JournalRecord record;
-    record.type = JournalRecord::Type::kProgress;
-    record.job_id = job->id;
-    record.relations_done =
-        job->relations_done.load(std::memory_order_relaxed);
-    record.rounds_done = job->rounds_done.load(std::memory_order_relaxed);
-    JournalAppendLocked(record);
   };
   options.on_round_complete = [this, job](AdaptiveRoundCompletion&&) {
-    job->rounds_done.fetch_add(1, std::memory_order_relaxed);
     Heartbeat(job);
   };
   {
@@ -885,12 +864,15 @@ Status JobManager::RunDiscoverJob(Job* job) {
 
   ResumeOptions resume;
   resume.manifest_path = options_.work_dir + "/" + job->id + ".manifest";
-  // A manifest this build cannot replay (one from before the log format,
-  // or with a damaged header record) only costs the restart: the sweep is
+  // The manifest is the durable copy of the job's progress: this attempt
+  // counts up from the relations an earlier attempt or boot finished. A
+  // manifest this build cannot replay (one from before the log format, or
+  // with a damaged header record) only costs the restart: the sweep is
   // deterministic, so starting over yields the same facts.
-  if (!LoadResumeManifest(resume.manifest_path).ok()) {
-    std::remove(resume.manifest_path.c_str());
-  }
+  const auto manifest = LoadResumeManifest(resume.manifest_path);
+  job->relations_done.store(manifest.ok() ? manifest.value().done.size() : 0,
+                            std::memory_order_relaxed);
+  if (!manifest.ok()) std::remove(resume.manifest_path.c_str());
   KGFD_ASSIGN_OR_RETURN(
       const DiscoveryResult result,
       DiscoverFactsResumable(*loaded->model, kg, options, resume,
@@ -901,39 +883,8 @@ Status JobManager::RunDiscoverJob(Job* job) {
                      loaded->dataset->relation_vocab());
   std::lock_guard<std::mutex> lock(mu_);
   job->num_facts = result.facts.size();
-  job->facts_tsv = std::move(tsv);
   job->stopped_reason = result.stopped_reason;
-  return Status::OK();
-}
-
-Status JobManager::RunPipelineJob(Job* job) {
-  JobSpec spec = job->request.spec;
-  spec.metrics = options_.metrics;
-  spec.cancel = CancelContext(
-      job->token.get(), job->request.deadline_s > 0
-                            ? Deadline::After(job->request.deadline_s)
-                            : Deadline());
-  spec.discovery.on_relation_complete = [this, job](RelationCompletion&&) {
-    job->relations_done.fetch_add(1, std::memory_order_relaxed);
-    Heartbeat(job);
-  };
-
-  KGFD_ASSIGN_OR_RETURN(const JobResult result, RunJob(spec));
-  std::string tsv;
-  size_t num_facts = 0;
-  StoppedReason stopped = StoppedReason::kNone;
-  if (spec.run_discovery && result.dataset != nullptr) {
-    tsv = FormatFactsTsv(result.discovery.facts,
-                         result.dataset->entity_vocab(),
-                         result.dataset->relation_vocab());
-    num_facts = result.discovery.facts.size();
-    stopped = result.discovery.stopped_reason;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  job->num_facts = num_facts;
-  job->facts_tsv = std::move(tsv);
-  job->stopped_reason = stopped;
-  return Status::OK();
+  return tsv;
 }
 
 }  // namespace kgfd

@@ -14,7 +14,6 @@
 
 #include "core/discovery.h"
 #include "core/discovery_cache.h"
-#include "core/job.h"
 #include "kg/dataset.h"
 #include "kge/model.h"
 #include "server/job_journal.h"
@@ -73,32 +72,24 @@ const char* JobStateName(JobState state);
 Status EnsureJobWorkDir(const std::string& path);
 
 /// A parsed job submission. The body of POST /jobs is the repo's flat
-/// `key = value` config format (util/config_file.h). Two kinds:
-///
-///  * `job.kind = discover` (default) — run discovery against an existing
-///    dataset directory and model checkpoint; this is the service's hot
-///    path and what the cross-request caches accelerate. Keys:
-///      data.dir                  = <dataset directory>      (required)
-///      model.checkpoint          = <model checkpoint file>  (required)
-///      discovery.<knob>          = ...      # every row of the option
-///                                           # table, core/discovery_options.h
-///      deadline_s                = 0        # 0 = no deadline
-///    Defaults deliberately match `kgfd_cli discover`, so the same inputs
-///    produce byte-identical facts through either front end.
-///
-///  * `job.kind = run` — a full declarative pipeline (core/job.h JobSpec:
-///    dataset/train/eval/discovery keys), executed via RunJob. `deadline_s`
-///    is also accepted.
+/// `key = value` config format (util/config_file.h): a discovery run
+/// against an existing dataset directory and model checkpoint, the
+/// service's one job kind and what the cross-request caches accelerate.
+/// Keys:
+///   job.kind                  = discover # optional; the only kind served
+///   data.dir                  = <dataset directory>      (required)
+///   model.checkpoint          = <model checkpoint file>  (required)
+///   discovery.<knob>          = ...      # every row of the option
+///                                        # table, core/discovery_options.h
+///   deadline_s                = 0        # 0 = no deadline
+/// Defaults deliberately match `kgfd_cli discover`, so the same inputs
+/// produce byte-identical facts through either front end. A full pipeline
+/// (dataset, training, evaluation, discovery; core/job.h) runs through
+/// `kgfd_cli run --config`, not the server.
 struct JobRequest {
-  enum class Kind { kDiscover, kRun };
-  Kind kind = Kind::kDiscover;
-  // -- discover ------------------------------------------------------------
   std::string data_dir;
   std::string checkpoint;
   DiscoveryOptions discovery;
-  // -- run -----------------------------------------------------------------
-  JobSpec spec;
-  // -- common --------------------------------------------------------------
   double deadline_s = 0.0;
   /// Original body: the payload of the journal's kSubmitted record, so a
   /// recovered job is re-parsed from the exact bytes the client submitted.
@@ -145,20 +136,26 @@ struct JobStatus {
 ///    checkpoint files with identical parameters share a cache, and a
 ///    retrained model can never be served another model's scores.
 ///
-/// Every discover job runs through DiscoverFactsResumable with a per-job
-/// manifest under Options::work_dir: GET /jobs/<id> progress comes from the
-/// same per-relation completion stream the manifest persists, and a drain
-/// or cancellation mid-job leaves a valid manifest on disk (the PR4
-/// invariant) that a resubmitted job resumes bit-identically.
+/// Every job runs through DiscoverFactsResumable with a per-job manifest
+/// under Options::work_dir, which is the one durable copy of its progress:
+/// each attempt starts GET /jobs/<id>'s relations_done at the manifest's
+/// finished-relation count and counts up from the same per-relation
+/// completion stream the manifest persists. A drain or cancellation mid-job
+/// leaves a valid manifest on disk that a resubmitted job resumes
+/// bit-identically.
+///
+/// A terminal job's facts live only in the framed file `<id>.facts.tsv`,
+/// written once before its terminal record; FactsTsv reads that file, so a
+/// finished job holds no facts in RAM.
 ///
 /// Durability (DESIGN.md §10): every job transition is appended to a
 /// JobJournal under work_dir before the server acknowledges it as durable.
 /// On construction the journal is replayed: terminal jobs are restored
-/// (facts from the framed file `<id>.facts.tsv`; a done job whose file is
-/// missing or damaged re-runs instead), interrupted jobs re-enter the queue in
-/// their original submission order and resume through their manifests, and
-/// jobs that crash-looped past the attempt budget are quarantined as
-/// kFailedPoisoned instead of crashing the server again.
+/// (a done job whose facts file is missing or damaged re-runs instead),
+/// interrupted jobs re-enter the queue in their original submission order
+/// and resume through their manifests, and jobs that crash-looped past the
+/// attempt budget are quarantined as kFailedPoisoned instead of crashing
+/// the server again.
 ///
 /// A watchdog thread (Options::stall_timeout_s) cancels the running job
 /// when its per-phase heartbeats (attempt start, relation completion,
@@ -189,9 +186,8 @@ class JobManager {
     MetricsRegistry* metrics = nullptr;
     /// Job re-execution budget. max_attempts is the total number of
     /// executions a job may start in-process (1 = never retry, the
-    /// default here); only retryable codes (IoError unless overridden)
-    /// and watchdog stalls consume extra attempts. Exhaustion lands the
-    /// job in kFailedPoisoned.
+    /// default here); only IoError and watchdog stalls consume extra
+    /// attempts. Exhaustion lands the job in kFailedPoisoned.
     RetryPolicy retry{.max_attempts = 1};
     /// Cancel the running job once its heartbeats are older than this
     /// (seconds). 0 disables the watchdog.
@@ -236,8 +232,10 @@ class JobManager {
   Result<JobStatus> GetStatus(const std::string& id) const;
 
   /// TSV facts of a terminal job (FormatFactsTsv bytes — identical to
-  /// `kgfd_cli discover --out`). A cancelled job returns the partial facts
-  /// of its completed relations. FailedPrecondition while queued/running.
+  /// `kgfd_cli discover --out`), read from its `<id>.facts.tsv`. A
+  /// cancelled job returns the partial facts of its completed relations.
+  /// FailedPrecondition while queued/running; the read error when the
+  /// file is missing or damaged.
   Result<std::string> FactsTsv(const std::string& id) const;
 
   /// Requests cooperative cancellation: a queued job is dequeued and
@@ -277,9 +275,7 @@ class JobManager {
     std::string error;                   // guarded by mu_
     size_t relations_total = 0;          // guarded by mu_
     std::atomic<size_t> relations_done{0};
-    std::atomic<size_t> rounds_done{0};
     size_t num_facts = 0;          // guarded by mu_
-    std::string facts_tsv;         // guarded by mu_, set once terminal
     StoppedReason stopped_reason = StoppedReason::kNone;  // guarded by mu_
     double runtime_seconds = 0.0;  // guarded by mu_
     uint32_t attempts = 0;         // guarded by mu_
@@ -304,8 +300,8 @@ class JobManager {
   void RunnerLoop();
   void WatchdogLoop();
   void RunOne(Job* job);
-  Status RunDiscoverJob(Job* job);
-  Status RunPipelineJob(Job* job);
+  /// One attempt; returns the facts TSV for PersistTerminalLocked.
+  Result<std::string> RunDiscoverJob(Job* job);
   Result<std::shared_ptr<LoadedModel>> GetOrLoadModel(
       const std::string& data_dir, const std::string& checkpoint);
   JobStatus SnapshotLocked(const Job& job) const;
@@ -314,11 +310,11 @@ class JobManager {
   /// when the journal failed to open).
   void JournalAppendLocked(const JournalRecord& record);
   std::vector<JournalRecord> JournalSnapshotLocked() const;
-  /// Terminal flush: persists `<id>.facts.tsv` (tmp+rename), then appends
-  /// the kTerminal record. The kFailPointJournalTerminal gate sits in
-  /// front of both — a triggered spec simulates a crash in exactly the
-  /// pre-terminal-flush window.
-  void PersistTerminalLocked(Job* job);
+  /// Terminal flush: persists `facts_tsv` as `<id>.facts.tsv`
+  /// (tmp+rename), then appends the kTerminal record. The
+  /// kFailPointJournalTerminal gate sits in front of both — a triggered
+  /// spec simulates a crash in exactly the pre-terminal-flush window.
+  void PersistTerminalLocked(Job* job, const std::string& facts_tsv = "");
   void OpenJournal();
   void RecoverFromJournal(std::vector<JournalRecord> records);
   void Heartbeat(Job* job);

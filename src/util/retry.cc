@@ -1,16 +1,12 @@
 #include "util/retry.h"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
-
-#include "obs/metrics.h"
 
 namespace kgfd {
 
-bool RetryableCode(const RetryPolicy& policy, StatusCode code) {
-  if (policy.retryable != nullptr) return policy.retryable(code);
-  return code == StatusCode::kIoError;
-}
+bool RetryableCode(StatusCode code) { return code == StatusCode::kIoError; }
 
 double RetryBackoffMs(const RetryPolicy& policy, size_t failures) {
   if (failures == 0) return 0.0;
@@ -25,30 +21,13 @@ double RetryBackoffMs(const RetryPolicy& policy, size_t failures) {
 namespace internal {
 
 void RetrySleep(const RetryPolicy& policy, size_t failures) {
-  if (policy.metrics != nullptr) {
-    policy.metrics->GetCounter(kRetryBackoffsCounter)->Increment();
-  }
   const double ms = RetryBackoffMs(policy, failures);
   if (ms > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
   }
 }
 
-void RecordAttempt(const RetryPolicy& policy) {
-  if (policy.metrics != nullptr) {
-    policy.metrics->GetCounter(kRetryAttemptsCounter)->Increment();
-  }
-}
-
-void RecordExhausted(const RetryPolicy& policy) {
-  if (policy.metrics != nullptr) {
-    policy.metrics->GetCounter(kRetryExhaustedCounter)->Increment();
-  }
-}
-
-Status DecorateExhausted(const RetryPolicy& policy, const char* op,
-                         size_t attempts, Status status) {
-  RecordExhausted(policy);
+Status DecorateExhausted(const char* op, size_t attempts, Status status) {
   if (attempts <= 1) return status;
   return Status(status.code(), std::string(op) + " failed after " +
                                    std::to_string(attempts) +

@@ -1,7 +1,6 @@
 #ifndef KGFD_UTIL_RETRY_H_
 #define KGFD_UTIL_RETRY_H_
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -10,54 +9,35 @@
 
 namespace kgfd {
 
-class MetricsRegistry;
-
-/// Metric names recorded when RetryPolicy::metrics is set.
-inline constexpr char kRetryAttemptsCounter[] = "retry.attempts";
-inline constexpr char kRetryBackoffsCounter[] = "retry.backoffs";
-inline constexpr char kRetryExhaustedCounter[] = "retry.exhausted";
-
 /// Bounded-retry policy with exponential backoff, wrapped around the
 /// transient-failure-prone I/O paths (dataset loading, checkpoint and
-/// resume-manifest I/O). Only IoError is considered transient by default.
+/// resume-manifest I/O). Only IoError is considered transient.
 struct RetryPolicy {
   /// Total tries including the first; 1 disables retrying.
   size_t max_attempts = 3;
   double initial_backoff_ms = 1.0;
   double backoff_multiplier = 2.0;
   double max_backoff_ms = 100.0;
-  /// Per-attempt timeout: a *failed* attempt that ran longer than this is
-  /// treated as non-transient and returned immediately instead of retried
-  /// (bounds worst-case wall time to roughly max_attempts * timeout).
-  /// 0 disables the bound. Successful attempts are never discarded.
-  double attempt_timeout_ms = 0.0;
-  /// Extra codes to retry besides kIoError; null = IoError only.
-  bool (*retryable)(StatusCode) = nullptr;
-  /// When set, records retry.attempts / retry.backoffs / retry.exhausted.
-  MetricsRegistry* metrics = nullptr;
 };
 
-/// True if `policy` retries `code` (the policy's predicate, or the default
-/// IoError-only rule).
-bool RetryableCode(const RetryPolicy& policy, StatusCode code);
+/// True if `code` is transient, i.e. worth another try: IoError only.
+bool RetryableCode(StatusCode code);
 
 /// Backoff before attempt `attempt` (1-based count of failures so far):
 /// initial * multiplier^(attempt-1), capped at max_backoff_ms.
 double RetryBackoffMs(const RetryPolicy& policy, size_t failures);
 
 namespace internal {
-/// Sleeps and records the backoff counter.
+/// Sleeps for the backoff before the next attempt.
 void RetrySleep(const RetryPolicy& policy, size_t failures);
-void RecordAttempt(const RetryPolicy& policy);
-void RecordExhausted(const RetryPolicy& policy);
 /// Wraps the terminal error with attempt context (no-op on the first
 /// attempt, where nothing was retried and the message should stay pristine).
-Status DecorateExhausted(const RetryPolicy& policy, const char* op,
-                         size_t attempts, Status status);
+Status DecorateExhausted(const char* op, size_t attempts, Status status);
 }  // namespace internal
 
-/// Runs `fn` until it succeeds or the policy gives up; see RetryPolicy for
-/// the stop conditions. `op` names the operation in the final error.
+/// Runs `fn` until it succeeds, fails with a non-retryable code, or has
+/// made policy.max_attempts attempts. `op` names the operation in the
+/// final error.
 template <typename T>
 Result<T> Retry(const RetryPolicy& policy, const char* op,
                 const std::function<Result<T>()>& fn) {
@@ -65,23 +45,11 @@ Result<T> Retry(const RetryPolicy& policy, const char* op,
                                   ? size_t{1}
                                   : policy.max_attempts;
   for (size_t attempt = 1;; ++attempt) {
-    internal::RecordAttempt(policy);
-    const auto start = std::chrono::steady_clock::now();
     Result<T> result = fn();
     if (result.ok()) return result;
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    if (!RetryableCode(policy, result.status().code())) return result;
-    if (policy.attempt_timeout_ms > 0.0 &&
-        elapsed_ms > policy.attempt_timeout_ms) {
-      return internal::DecorateExhausted(policy, op, attempt,
-                                         result.status());
-    }
+    if (!RetryableCode(result.status().code())) return result;
     if (attempt >= max_attempts) {
-      return internal::DecorateExhausted(policy, op, attempt,
-                                         result.status());
+      return internal::DecorateExhausted(op, attempt, result.status());
     }
     internal::RetrySleep(policy, attempt);
   }

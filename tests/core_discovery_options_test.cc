@@ -69,7 +69,7 @@ DiscoveryOptions FromFlags(std::vector<std::string> args) {
   return options;
 }
 
-/// A run-kind job config (what `kgfd_cli run` and run-kind POSTs parse).
+/// A job config, what `kgfd_cli run --config` parses.
 DiscoveryOptions FromRunConfig(const std::string& body) {
   const ConfigFile config =
       std::move(ConfigFile::Parse(body)).ValueOrDie("config");
@@ -78,7 +78,7 @@ DiscoveryOptions FromRunConfig(const std::string& body) {
   return spec.ok() ? spec.value().discovery : DiscoveryOptions();
 }
 
-/// A discover-kind POST body.
+/// A kgfd_server POST body.
 DiscoveryOptions FromPost(const std::string& body) {
   const auto request =
       JobRequest::Parse("data.dir = d\nmodel.checkpoint = m\n" + body);
@@ -109,7 +109,7 @@ TEST(DiscoveryOptionTableTest, EveryFrontEndSetsEveryRowAlike) {
     EXPECT_EQ(DiscoveryOptionValue(row, post), value);
     EXPECT_EQ(Describe(FromFlags({"--" + std::string(row.name), value})),
               Describe(post));
-    // A run-kind job derives its default discovery seed from `seed`; pin
+    // A job config derives its default discovery seed from `seed`; pin
     // it so only the row under test differs from the POST.
     const std::string pin_seed =
         std::string(row.name) == "seed" ? "" : "discovery.seed = 123\n";

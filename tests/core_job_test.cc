@@ -154,7 +154,7 @@ TEST(JobSpecTest, RejectsUnknownKeys) {
 }
 
 // Each of these counts used to wrap to 2^64 - 1 through a size_t cast; a
-// run-kind POST with train.epochs = -1 would have trained forever.
+// job config with train.epochs = -1 would have trained forever.
 void ExpectNegativeRejected(const std::string& key) {
   auto config = ConfigFile::Parse(key + " = -1\n");
   ASSERT_TRUE(config.ok());

@@ -63,12 +63,15 @@ TEST(FactsTsvTest, RoundTripsWithNames) {
 
 TEST(FactsTsvTest, ReadRejectsMalformedRows) {
   const std::string path = ScratchPath("bad_facts.tsv");
-  {
-    std::ofstream out(path);
-    out << "a\tr\tb\n";  // missing rank column
+  for (const char* row : {"a\tr\tb\n",       // missing rank column
+                          "a\tr\tb\t12x\n"}) {  // rank with trailing junk
+    {
+      std::ofstream out(path);
+      out << row;
+    }
+    Vocabulary e, r;
+    EXPECT_FALSE(ReadFactsTsv(path, &e, &r).ok()) << row;
   }
-  Vocabulary e, r;
-  EXPECT_FALSE(ReadFactsTsv(path, &e, &r).ok());
   std::remove(path.c_str());
 }
 

@@ -15,8 +15,10 @@
 #include "kge/checkpoint.h"
 #include "kge/trainer.h"
 #include "obs/metrics.h"
+#include "server/job_journal.h"
 #include "server/job_manager.h"
 #include "util/failpoint.h"
+#include "util/framed_log.h"
 #include "util/thread_pool.h"
 #include "test_scratch.h"
 
@@ -234,6 +236,10 @@ TEST_F(RecoveryTest, MidSweepKillResumesBitIdentical) {
   EXPECT_EQ(status.state, JobState::kDone) << status.error;
   EXPECT_EQ(status.attempts, 2u);
   EXPECT_TRUE(status.recovered);
+  // Progress is read back from the manifest, not re-counted from zero or
+  // counted twice: the resumed attempt ends at exactly every relation.
+  EXPECT_EQ(status.relations_total, 5u);
+  EXPECT_EQ(status.relations_done, status.relations_total);
   EXPECT_EQ(std::move(jobs->FactsTsv(id)).ValueOrDie("facts"),
             ReferenceFactsTsv());
   // The resume manifest did its job: the second attempt skipped the
@@ -319,6 +325,97 @@ TEST_F(RecoveryTest, LostOrTornFactsFileReRunsToIdenticalFacts) {
   EXPECT_EQ(jobs->recovery().jobs_restored, 1u);
   EXPECT_EQ(jobs->recovery().jobs_recovered, 0u);
   EXPECT_EQ(std::move(jobs->FactsTsv(id)).ValueOrDie("facts"),
+            ReferenceFactsTsv());
+}
+
+TEST_F(RecoveryTest, RestoredJobServesFactsFromItsFileOnly) {
+  // The facts file is the one copy of a terminal job's facts: a restored
+  // job serves it, and once it is gone the job answers with the read
+  // error instead of a body kept in memory.
+  auto jobs = std::make_unique<JobManager>(BaseOptions());
+  const std::string id =
+      std::move(jobs->Submit(TestJobConfig())).ValueOrDie("submit");
+  ASSERT_EQ(AwaitTerminal(*jobs, id).state, JobState::kDone);
+  jobs->Shutdown();
+  jobs.reset();
+
+  jobs = std::make_unique<JobManager>(BaseOptions());
+  ASSERT_EQ(jobs->recovery().jobs_restored, 1u);
+  EXPECT_EQ(std::move(jobs->FactsTsv(id)).ValueOrDie("facts"),
+            ReferenceFactsTsv());
+  ASSERT_TRUE(std::filesystem::remove(work_dir_ + "/" + id + ".facts.tsv"));
+  const auto facts = jobs->FactsTsv(id);
+  EXPECT_FALSE(facts.ok());
+  EXPECT_EQ(facts.status().code(), StatusCode::kIoError)
+      << facts.status().ToString();
+  EXPECT_EQ(std::move(jobs->GetStatus(id)).ValueOrDie("status").state,
+            JobState::kDone);
+}
+
+TEST_F(RecoveryTest, OlderJournalWithRunKindJobAndProgressRecordsBoots) {
+  // A journal as older builds wrote it: a run-kind job (a kind the server
+  // no longer runs) interrupted mid-pipeline, and a discover job killed
+  // mid-sweep, each with per-relation progress records (type 3). The boot
+  // fails the first descriptively, skips the progress records, and runs the
+  // second to the reference bytes.
+  std::filesystem::create_directories(work_dir_);
+  auto frame = [](const std::string& payload) {
+    std::string out;
+    AppendFrame(&out, payload);
+    return out;
+  };
+  auto submitted = [&](const std::string& id, const std::string& config) {
+    JournalRecord r;
+    r.type = JournalRecord::Type::kSubmitted;
+    r.job_id = id;
+    r.config_text = config;
+    return frame(JobJournal::EncodePayload(r));
+  };
+  auto started = [&](const std::string& id) {
+    JournalRecord r;
+    r.type = JournalRecord::Type::kStarted;
+    r.job_id = id;
+    r.attempt = 1;
+    return frame(JobJournal::EncodePayload(r));
+  };
+  auto progress = [&](const std::string& id, uint64_t relations) {
+    std::string payload;
+    Put(&payload, uint8_t{3});
+    PutString(&payload, id);
+    Put(&payload, relations);
+    Put(&payload, uint64_t{0});
+    return frame(payload);
+  };
+  {
+    std::ofstream out(work_dir_ + "/journal.000001.log", std::ios::binary);
+    out << FramedHeader(kJournalFormat)
+        << submitted("j1",
+                     "job.kind = run\ndataset.preset = FB15K-237\n"
+                     "model.type = TransE\ntrain.epochs = 1\n")
+        << started("j1") << progress("j1", 1) << progress("j1", 2)
+        << submitted("j2", TestJobConfig()) << started("j2")
+        << progress("j2", 1);
+  }
+
+  JobManager jobs(BaseOptions());
+  EXPECT_TRUE(jobs.recovery().journal_error.empty())
+      << jobs.recovery().journal_error;
+  EXPECT_EQ(jobs.recovery().quarantined_segments, 0u);
+  EXPECT_EQ(jobs.recovery().replayed_records, 4u);
+  EXPECT_EQ(jobs.recovery().jobs_restored, 1u);
+  EXPECT_EQ(jobs.recovery().jobs_recovered, 1u);
+
+  const JobStatus run = std::move(jobs.GetStatus("j1")).ValueOrDie("j1");
+  EXPECT_EQ(run.state, JobState::kFailed);
+  EXPECT_NE(run.error.find("recovered job config no longer parses"),
+            std::string::npos)
+      << run.error;
+  EXPECT_NE(run.error.find("kgfd_cli run"), std::string::npos) << run.error;
+
+  const JobStatus discover = AwaitTerminal(jobs, "j2");
+  EXPECT_EQ(discover.state, JobState::kDone) << discover.error;
+  EXPECT_EQ(discover.relations_done, discover.relations_total);
+  EXPECT_EQ(std::move(jobs.FactsTsv("j2")).ValueOrDie("facts"),
             ReferenceFactsTsv());
 }
 

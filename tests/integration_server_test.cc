@@ -537,22 +537,26 @@ TEST(HttpTimeoutTest, SlowLorisReaderCannotPinAConnectionWorker) {
   ::close(fd);
 }
 
-TEST_F(ServerTest, RunKindJobExecutesFullPipeline) {
+TEST_F(ServerTest, RunKindPostIs400NamingKgfdCliRun) {
   StartServer();
-  const std::string id = SubmitJob(
-      "job.kind = run\n"
-      "dataset.preset = FB15K-237\n"
-      "dataset.scale = 250\n"
-      "model.type = DistMult\n"
-      "model.dim = 8\n"
-      "train.epochs = 1\n"
-      "eval.enabled = false\n"
-      "discovery.top_n = 10\n"
-      "discovery.max_candidates = 20\n");
-  EXPECT_EQ(AwaitTerminal(id, 120.0), "done");
-  auto facts = HttpGet(kHost, port_, "/jobs/" + id + "/facts");
-  ASSERT_TRUE(facts.ok());
-  EXPECT_EQ(facts.value().status_code, 200);
+  auto response = HttpFetch(kHost, port_, "POST", "/jobs",
+                            "job.kind = run\n"
+                            "dataset.preset = FB15K-237\n"
+                            "dataset.scale = 250\n"
+                            "model.type = DistMult\n"
+                            "model.dim = 8\n"
+                            "train.epochs = 1\n"
+                            "eval.enabled = false\n"
+                            "discovery.top_n = 10\n"
+                            "discovery.max_candidates = 20\n");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status_code, 400);
+  EXPECT_NE(response.value().body.find("kgfd_cli run"), std::string::npos)
+      << response.value().body;
+  // Refused at the door: no job was created.
+  auto listed = HttpGet(kHost, port_, "/jobs");
+  ASSERT_TRUE(listed.ok());
+  EXPECT_EQ(listed.value().body, "");
 }
 
 }  // namespace

@@ -427,9 +427,7 @@ TEST_F(FailPointTest, EveryDocumentedSiteIsArmable) {
 // ------------------------------------------------------------------ retry
 
 TEST_F(FailPointTest, RetrySucceedsFirstTry) {
-  MetricsRegistry registry;
   RetryPolicy policy;
-  policy.metrics = &registry;
   size_t calls = 0;
   auto result = Retry<int>(policy, "op", [&calls]() -> Result<int> {
     ++calls;
@@ -438,16 +436,12 @@ TEST_F(FailPointTest, RetrySucceedsFirstTry) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value(), 7);
   EXPECT_EQ(calls, 1u);
-  EXPECT_EQ(registry.GetCounter(kRetryAttemptsCounter)->value(), 1u);
-  EXPECT_EQ(registry.GetCounter(kRetryBackoffsCounter)->value(), 0u);
 }
 
 TEST_F(FailPointTest, RetryRecoversFromTransientFailures) {
-  MetricsRegistry registry;
   RetryPolicy policy;
   policy.max_attempts = 5;
   policy.initial_backoff_ms = 0.1;
-  policy.metrics = &registry;
   size_t calls = 0;
   auto result = Retry<int>(policy, "op", [&calls]() -> Result<int> {
     if (++calls < 3) return Status::IoError("flaky");
@@ -455,10 +449,8 @@ TEST_F(FailPointTest, RetryRecoversFromTransientFailures) {
   });
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value(), 42);
+  // Two failures, two backoffs, then the success: no attempt past it.
   EXPECT_EQ(calls, 3u);
-  EXPECT_EQ(registry.GetCounter(kRetryAttemptsCounter)->value(), 3u);
-  EXPECT_EQ(registry.GetCounter(kRetryBackoffsCounter)->value(), 2u);
-  EXPECT_EQ(registry.GetCounter(kRetryExhaustedCounter)->value(), 0u);
 }
 
 TEST_F(FailPointTest, RetryDoesNotRetryNonTransientErrors) {
@@ -476,11 +468,9 @@ TEST_F(FailPointTest, RetryDoesNotRetryNonTransientErrors) {
 }
 
 TEST_F(FailPointTest, RetryExhaustionDecoratesTheError) {
-  MetricsRegistry registry;
   RetryPolicy policy;
   policy.max_attempts = 3;
   policy.initial_backoff_ms = 0.1;
-  policy.metrics = &registry;
   size_t calls = 0;
   const Status status = RetryStatus(policy, "SaveThing", [&calls]() {
     ++calls;
@@ -491,7 +481,6 @@ TEST_F(FailPointTest, RetryExhaustionDecoratesTheError) {
   EXPECT_NE(status.ToString().find("SaveThing failed after 3 attempts"),
             std::string::npos);
   EXPECT_NE(status.ToString().find("disk gone"), std::string::npos);
-  EXPECT_EQ(registry.GetCounter(kRetryExhaustedCounter)->value(), 1u);
 }
 
 TEST_F(FailPointTest, RetryBackoffGrowsExponentiallyAndCaps) {
@@ -504,39 +493,6 @@ TEST_F(FailPointTest, RetryBackoffGrowsExponentiallyAndCaps) {
   EXPECT_DOUBLE_EQ(RetryBackoffMs(policy, 3), 4.0);
   EXPECT_DOUBLE_EQ(RetryBackoffMs(policy, 4), 5.0);  // capped
   EXPECT_DOUBLE_EQ(RetryBackoffMs(policy, 10), 5.0);
-}
-
-TEST_F(FailPointTest, RetryAttemptTimeoutStopsSlowFailures) {
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.attempt_timeout_ms = 5.0;
-  size_t calls = 0;
-  const Status status = RetryStatus(policy, "slow_op", [&calls]() {
-    ++calls;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    return Status::IoError("slow failure");
-  });
-  EXPECT_FALSE(status.ok());
-  // The failed attempt overran the per-attempt budget: no retry.
-  EXPECT_EQ(calls, 1u);
-}
-
-TEST_F(FailPointTest, RetryCustomPredicateWidensRetryableSet) {
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_ms = 0.1;
-  policy.retryable = [](StatusCode code) {
-    return code == StatusCode::kInternal;
-  };
-  EXPECT_TRUE(RetryableCode(policy, StatusCode::kInternal));
-  EXPECT_FALSE(RetryableCode(policy, StatusCode::kIoError));
-  size_t calls = 0;
-  const Status status = RetryStatus(policy, "op", [&calls]() {
-    if (++calls < 2) return Status::Internal("transient");
-    return Status::OK();
-  });
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 2u);
 }
 
 TEST_F(FailPointTest, RetryAbsorbsInjectedTransientFaults) {

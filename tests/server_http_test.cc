@@ -112,7 +112,6 @@ TEST(JobRequestTest, ParsesDiscoverJobWithDefaults) {
       "data.dir = data\n"
       "model.checkpoint = model.bin\n");
   ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_EQ(request.value().kind, JobRequest::Kind::kDiscover);
   EXPECT_EQ(request.value().data_dir, "data");
   EXPECT_EQ(request.value().checkpoint, "model.bin");
   // Defaults must match `kgfd_cli discover` so both front ends produce
@@ -178,17 +177,23 @@ TEST(JobRequestTest, RejectsBadSubmissions) {
                    .ok());
 }
 
-TEST(JobRequestTest, RunKindValidatesFullSpecAtSubmitTime) {
-  // A run job is validated through JobSpec::FromConfig at POST time...
-  EXPECT_TRUE(JobRequest::Parse("job.kind = run\n"
-                                "dataset.preset = FB15K-237\n"
-                                "model.type = TransE\n"
-                                "train.epochs = 1\n")
+TEST(JobRequestTest, RunKindIsRejectedNamingKgfdCliRun) {
+  // The server runs discover jobs only; a full pipeline body, even a
+  // valid one, is refused with a pointer to the CLI that runs it.
+  const auto run = JobRequest::Parse("job.kind = run\n"
+                                     "dataset.preset = FB15K-237\n"
+                                     "model.type = TransE\n"
+                                     "train.epochs = 1\n");
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(run.status().message().find("kgfd_cli run --config"),
+            std::string::npos)
+      << run.status().ToString();
+  // `job.kind = discover` stays accepted, so existing bodies still parse.
+  EXPECT_TRUE(JobRequest::Parse("job.kind = discover\n"
+                                "data.dir = d\n"
+                                "model.checkpoint = m\n")
                   .ok());
-  // ...so a typo'd pipeline key fails the submission immediately.
-  EXPECT_FALSE(JobRequest::Parse("job.kind = run\n"
-                                 "model.typ = TransE\n")
-                   .ok());
 }
 
 TEST(JobStateTest, NamesAreStable) {

@@ -33,16 +33,6 @@ JournalRecord Started(const std::string& id, uint32_t attempt) {
   return r;
 }
 
-JournalRecord Progress(const std::string& id, uint64_t relations,
-                       uint64_t rounds) {
-  JournalRecord r;
-  r.type = JournalRecord::Type::kProgress;
-  r.job_id = id;
-  r.relations_done = relations;
-  r.rounds_done = rounds;
-  return r;
-}
-
 JournalRecord Terminal(const std::string& id, uint8_t state,
                        const std::string& error, uint64_t num_facts) {
   JournalRecord r;
@@ -59,8 +49,6 @@ void ExpectRecordsEqual(const JournalRecord& want, const JournalRecord& got) {
   EXPECT_EQ(want.job_id, got.job_id);
   EXPECT_EQ(want.config_text, got.config_text);
   EXPECT_EQ(want.attempt, got.attempt);
-  EXPECT_EQ(want.relations_done, got.relations_done);
-  EXPECT_EQ(want.rounds_done, got.rounds_done);
   EXPECT_EQ(want.terminal_state, got.terminal_state);
   EXPECT_EQ(want.error, got.error);
   EXPECT_EQ(want.num_facts, got.num_facts);
@@ -96,7 +84,6 @@ class JobJournalTest : public ::testing::Test {
   std::vector<JournalRecord> SampleRecords() const {
     return {Submitted("j1", "data.dir = /x\nmodel.checkpoint = /y\n"),
             Started("j1", 1),
-            Progress("j1", 3, 7),
             Terminal("j1", 1, "", 42),
             Submitted("j2", "job.kind = run\n"),
             Started("j2", 2),
@@ -151,6 +138,34 @@ TEST_F(JobJournalTest, SegmentBytesKeepTheVersion1Layout) {
       "\x02\x02\0\0\0\0\0\0\0j1\x03\0\0\0",  // kStarted "j1" 3
       12 + 8 + 15);
   EXPECT_EQ(bytes, expected);
+}
+
+TEST_F(JobJournalTest, LegacyProgressRecordIsSkippedAndReplayContinues) {
+  // Older builds appended a progress record (type 3: job id, relations
+  // done, rounds done) per finished relation. Nothing writes it now, but a
+  // journal holding one must replay every record around it.
+  std::string progress;
+  Put(&progress, uint8_t{3});
+  PutString(&progress, "j1");
+  Put(&progress, uint64_t{4});
+  Put(&progress, uint64_t{0});
+  const JournalRecord submitted = Submitted("j1", "cfg");
+  const JournalRecord started = Started("j1", 1);
+  const JournalRecord terminal = Terminal("j1", 1, "", 42);
+  std::string data = FramedHeader(kJournalFormat);
+  data += Frame(submitted) + Frame(started);
+  AppendFrame(&data, progress);
+  data += Frame(terminal);
+  WriteFileBytes(SegmentPath(), data);
+
+  JobJournal::ReplayResult replay;
+  auto journal = JobJournal::Open(dir_, JobJournal::Options{}, &replay);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  EXPECT_EQ(replay.truncated_bytes, 0u);
+  ASSERT_EQ(replay.records.size(), 3u);
+  ExpectRecordsEqual(submitted, replay.records[0]);
+  ExpectRecordsEqual(started, replay.records[1]);
+  ExpectRecordsEqual(terminal, replay.records[2]);
 }
 
 TEST_F(JobJournalTest, FreshDirectoryStartsAnEmptySegment) {
@@ -306,8 +321,8 @@ TEST_F(JobJournalTest, SnapshotAboveThresholdStillRotatesAmortized) {
   for (const JournalRecord& record : snapshot) {
     snapshot_bytes += Frame(record).size();
   }
-  const JournalRecord progress = Progress("job0", 1, 1);
-  const uint64_t record_bytes = Frame(progress).size();
+  const JournalRecord started = Started("job0", 1);
+  const uint64_t record_bytes = Frame(started).size();
   const size_t appends_per_rotation = snapshot_bytes / record_bytes;
   ASSERT_GT(appends_per_rotation, 4u);
 
@@ -319,7 +334,7 @@ TEST_F(JobJournalTest, SnapshotAboveThresholdStillRotatesAmortized) {
   constexpr size_t kAppends = 200;
   std::vector<size_t> rotated_at;
   for (size_t i = 0; i < kAppends; ++i) {
-    ASSERT_TRUE(journal.value()->Append(progress).ok());
+    ASSERT_TRUE(journal.value()->Append(started).ok());
     if (journal.value()->ShouldRotate()) {
       ASSERT_TRUE(journal.value()->Rotate(snapshot).ok());
       rotated_at.push_back(i);

@@ -36,6 +36,12 @@ for bin in "$BENCH_DIR"/bench_*; do
     bench_gate)
       args=(--scale 0.05 --out "$SCRATCH/gate.json")
       ;;
+    bench_fig7_* | bench_fig8_* | bench_fig9_* | bench_fig10_* | \
+    bench_squares_exclusion | bench_ablation_* | bench_future_longtail)
+      # bench_hparam_common.h harnesses sweep top_n and max_candidates
+      # themselves, so they take only the setup flags (and reject others).
+      args=(--scale 200 --dim 8 --epochs 1)
+      ;;
     *)
       # Paper-figure/table harnesses share the bench_common flag set.
       # --scale DIVIDES the paper's dataset sizes, so bigger is smaller.

@@ -6,8 +6,10 @@
 #   1. the facts a job returns are BYTE-IDENTICAL to `kgfd_cli discover`
 #      run with the same options on the same artifacts;
 #   2. a second identical job is served from the shared caches (asserted
-#      via /metrics counters, and again byte-identical); a job that sets
-#      discovery.filtered_ranking and discovery.max_iterations matches
+#      via /metrics counters, and again byte-identical); the journal holds
+#      at most 3 records per finished job; a `job.kind = run` POST is a 400
+#      naming `kgfd_cli run`; a job that sets discovery.filtered_ranking
+#      and discovery.max_iterations matches
 #      `kgfd_cli discover --filtered_ranking false --max_iterations 3`;
 #   3. SIGTERM drains gracefully and the server exits 0;
 #   4. the whole stack rerun under the mmap embedding backend (with full
@@ -116,6 +118,20 @@ counter() { sed -n "s/^counter $1 //p" metrics.txt; }
 [ "$(counter discovery.shared_scores.hits)" = \
   "$(counter discovery.shared_scores.misses)" ] ||
   fail "rerun was not fully cache-served (hits != misses)"
+# The journal holds what recovery reads: submitted, started and terminal
+# per job. Progress lives in each job's resume manifest.
+RECORDS="$(counter server.journal.records)"
+FINISHED="$(counter server.jobs.completed)"
+[ "$FINISHED" -ge 2 ] 2>/dev/null && [ "$RECORDS" -le $((3 * FINISHED)) ] ||
+  fail "$RECORDS journal records for $FINISHED finished jobs (want <= 3 each)"
+
+# The server runs discover jobs only; a pipeline body is refused with a
+# pointer to the CLI that runs it.
+printf 'job.kind = run\ndataset.preset = FB15K-237\n' >job_run.cfg
+RUN_CODE="$(curl -sS -o run_reply.txt -w '%{http_code}' -X POST "$BASE/jobs" \
+  --data-binary @job_run.cfg)" || fail "POST /jobs (job.kind = run)"
+[ "$RUN_CODE" = 400 ] && grep -q "kgfd_cli run" run_reply.txt ||
+  fail "job.kind = run got $RUN_CODE '$(cat run_reply.txt)' (want 400 naming kgfd_cli run)"
 
 # Every discovery option reaches both front ends alike, including the
 # ones only a POST could set before they shared one option table.
