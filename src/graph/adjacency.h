@@ -12,11 +12,14 @@ namespace kgfd {
 /// Undirected homogeneous projection of a KG, as assumed by the paper's
 /// triangle/clustering/square strategies: relation labels and edge
 /// directions are dropped, parallel edges collapse, self-loops are removed.
-/// Neighbor lists are sorted and duplicate-free (CSR layout), enabling
-/// merge-based triangle counting.
+/// Neighbor lists are sorted and duplicate-free (CSR layout). Both
+/// builders run one counting sort: a pass counts each node's edge ends, a
+/// second drops both directions of every edge into its source's row, then
+/// each row is sorted and deduplicated in place, in O(|E| + sum of d log d).
 class Adjacency {
  public:
-  /// Builds the projection of `store` over all its entities.
+  /// Builds the projection of `store` over all its entities, reading
+  /// `store.triples()` directly.
   static Adjacency FromTripleStore(const TripleStore& store);
 
   /// Builds from an explicit undirected edge list over `num_nodes` nodes
@@ -45,6 +48,12 @@ class Adjacency {
 
  private:
   Adjacency() = default;
+
+  /// The one builder: `for_each_edge(emit)` calls `emit(u, v)` for every
+  /// input edge and is called twice. Self-loops and ids >= num_nodes are
+  /// dropped.
+  template <typename ForEachEdge>
+  static Adjacency Build(size_t num_nodes, const ForEachEdge& for_each_edge);
 
   std::vector<size_t> offsets_;      // num_nodes + 1
   std::vector<EntityId> neighbor_ids_;

@@ -1,7 +1,5 @@
 #include "graph/metrics.h"
 
-#include <algorithm>
-
 namespace kgfd {
 namespace {
 
@@ -27,31 +25,43 @@ size_t SortedIntersectionSize(const EntityId* a_begin, const EntityId* a_end,
 }  // namespace
 
 std::vector<uint64_t> LocalTriangleCounts(const Adjacency& adj) {
+  // Forward counting (Schank & Wagner 2005; Latapy 2008): orient each edge
+  // toward its higher (degree, id) end. A triangle whose corners rank
+  // u < v < w is then found exactly once: w is in the out-lists of both u
+  // and v, and v is in u's.
   const size_t n = adj.num_nodes();
-  std::vector<uint64_t> counts(n, 0);
+  const auto ranks_above = [&adj](EntityId v, EntityId u) {
+    const size_t dv = adj.Degree(v);
+    const size_t du = adj.Degree(u);
+    return dv > du || (dv == du && v > u);
+  };
+  std::vector<size_t> out_offsets(n + 1, 0);
+  std::vector<EntityId> out_ids;
+  out_ids.reserve(adj.num_edges());
   for (EntityId u = 0; u < n; ++u) {
-    const EntityId* u_begin = adj.NeighborsBegin(u);
-    const EntityId* u_end = adj.NeighborsEnd(u);
+    for (const EntityId* vp = adj.NeighborsBegin(u); vp != adj.NeighborsEnd(u);
+         ++vp) {
+      if (ranks_above(*vp, u)) out_ids.push_back(*vp);
+    }
+    out_offsets[u + 1] = out_ids.size();
+  }
+
+  std::vector<uint64_t> counts(n, 0);
+  // stamp[w] == u while u's out-list is marked; n means never marked.
+  std::vector<size_t> stamp(n, n);
+  for (EntityId u = 0; u < n; ++u) {
+    const EntityId* u_begin = out_ids.data() + out_offsets[u];
+    const EntityId* u_end = out_ids.data() + out_offsets[u + 1];
+    for (const EntityId* wp = u_begin; wp != u_end; ++wp) stamp[*wp] = u;
     for (const EntityId* vp = u_begin; vp != u_end; ++vp) {
       const EntityId v = *vp;
-      if (v <= u) continue;  // enumerate each edge once, u < v
-      // Common neighbors w > v close a triangle {u, v, w} counted once.
-      const EntityId* a = std::upper_bound(u_begin, u_end, v);
-      const EntityId* b =
-          std::upper_bound(adj.NeighborsBegin(v), adj.NeighborsEnd(v), v);
-      const EntityId* b_end = adj.NeighborsEnd(v);
-      while (a != u_end && b != b_end) {
-        if (*a < *b) {
-          ++a;
-        } else if (*b < *a) {
-          ++b;
-        } else {
-          ++counts[u];
-          ++counts[v];
-          ++counts[*a];
-          ++a;
-          ++b;
-        }
+      const EntityId* v_end = out_ids.data() + out_offsets[v + 1];
+      for (const EntityId* wp = out_ids.data() + out_offsets[v]; wp != v_end;
+           ++wp) {
+        if (stamp[*wp] != u) continue;
+        ++counts[u];
+        ++counts[v];
+        ++counts[*wp];
       }
     }
   }

@@ -9,9 +9,11 @@
 namespace kgfd {
 
 /// Per-node local triangle counts T(v): the number of edges among the
-/// neighbors of v in the undirected projection. Merge-based counting over
-/// sorted neighbor lists; each triangle {u,v,w} contributes 1 to each of its
-/// three corners.
+/// neighbors of v in the undirected projection. Degree-ordered "forward"
+/// counting: each edge points at its higher (degree, id) end, so every node
+/// scans only out-lists of O(sqrt |E|) entries, and each triangle is found
+/// once and credits 1 to each of its three corners. Exact integer counts,
+/// O(|E|^1.5) time, O(|E| + |V|) extra memory.
 std::vector<uint64_t> LocalTriangleCounts(const Adjacency& adj);
 
 /// Per-node local clustering coefficient (Watts-Strogatz):

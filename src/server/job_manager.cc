@@ -99,6 +99,12 @@ std::string FactsPathFor(const std::string& work_dir,
   return work_dir + "/" + job_id + ".facts.tsv";
 }
 
+/// A job's resume manifest: the durable copy of its sweep progress.
+std::string ManifestPathFor(const std::string& work_dir,
+                            const std::string& job_id) {
+  return work_dir + "/" + job_id + ".manifest";
+}
+
 /// Numeric part of "j<N>" job ids, 0 if the id has another shape.
 uint64_t JobIdNumber(const std::string& id) {
   if (id.size() < 2 || id[0] != 'j') return 0;
@@ -311,6 +317,14 @@ void JobManager::RecoverFromJournal(std::vector<JournalRecord> records) {
       if (facts_ok || raw->state != JobState::kDone || !parsed.ok()) {
         raw->error = std::move(entry.error);
         raw->num_facts = facts_ok ? entry.num_facts : 0;
+        // Progress as the job left it; 0/0 without a readable manifest.
+        const auto manifest =
+            LoadResumeManifest(ManifestPathFor(options_.work_dir, id));
+        if (manifest.ok()) {
+          raw->relations_total = manifest.value().relations.size();
+          raw->relations_done.store(manifest.value().done.size(),
+                                    std::memory_order_relaxed);
+        }
         ++recovery_.jobs_restored;
         continue;
       }
@@ -863,7 +877,7 @@ Result<std::string> JobManager::RunDiscoverJob(Job* job) {
   }
 
   ResumeOptions resume;
-  resume.manifest_path = options_.work_dir + "/" + job->id + ".manifest";
+  resume.manifest_path = ManifestPathFor(options_.work_dir, job->id);
   // The manifest is the durable copy of the job's progress: this attempt
   // counts up from the relations an earlier attempt or boot finished. A
   // manifest this build cannot replay (one from before the log format, or

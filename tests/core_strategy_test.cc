@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 
 #include "graph/adjacency.h"
 #include "graph/metrics.h"
+#include "graph/pagerank.h"
+#include "kg/synthetic.h"
 
 namespace kgfd {
 namespace {
@@ -263,6 +266,63 @@ TEST(StrategyWeightsTest, PopularityCorrelationHoldsOnSkewedGraph) {
   // Clustering coefficient: node 0 has zero weight despite popularity.
   EXPECT_DOUBLE_EQ(coeff.value().subject_weights[0], 0.0);
   EXPECT_GT(coeff.value().subject_weights[5], 0.0);
+}
+
+/// FromNodeMetric's normalization, restated: metric / sum(metric), summed
+/// in id order.
+std::vector<double> Normalized(const std::vector<double>& metric) {
+  double total = 0.0;
+  for (double m : metric) total += m;
+  std::vector<double> w(metric.size());
+  for (size_t i = 0; i < metric.size(); ++i) w[i] = metric[i] / total;
+  return w;
+}
+
+TEST(StrategyWeightsTest, GraphWeightsBitEqualSetProjectionReference) {
+  // The topology weights, built from the brute-force definitions over a
+  // std::set projection, must equal the library's to the last bit.
+  const Dataset dataset =
+      std::move(GenerateSyntheticDataset(Fb15k237Config(40.0)))
+          .ValueOrDie("dataset");
+  const TripleStore& kg = dataset.train();
+  const size_t n = kg.num_entities();
+  std::vector<std::set<EntityId>> neighbors(n);
+  for (const Triple& t : kg.triples()) {
+    if (t.subject == t.object) continue;
+    neighbors[t.subject].insert(t.object);
+    neighbors[t.object].insert(t.subject);
+  }
+  std::vector<double> degree(n), triangles(n), coefficient(n, 0.0);
+  std::vector<std::pair<EntityId, EntityId>> edges;
+  for (EntityId v = 0; v < n; ++v) {
+    uint64_t t = 0;
+    for (auto u = neighbors[v].begin(); u != neighbors[v].end(); ++u) {
+      if (v < *u) edges.push_back({v, *u});
+      for (auto w = std::next(u); w != neighbors[v].end(); ++w) {
+        t += neighbors[*u].count(*w);
+      }
+    }
+    const double d = static_cast<double>(neighbors[v].size());
+    degree[v] = d;
+    triangles[v] = static_cast<double>(t);
+    if (d >= 2.0) coefficient[v] = 2.0 * triangles[v] / (d * (d - 1.0));
+  }
+  const std::pair<SamplingStrategy, std::vector<double>> cases[] = {
+      {SamplingStrategy::kClusteringTriangles, triangles},
+      {SamplingStrategy::kClusteringCoefficient, coefficient},
+      {SamplingStrategy::kGraphDegree, degree},
+      {SamplingStrategy::kPageRank,
+       PageRank(Adjacency::FromEdges(n, edges))}};
+  for (const auto& [strategy, metric] : cases) {
+    auto w = ComputeStrategyWeights(strategy, kg);
+    ASSERT_TRUE(w.ok()) << SamplingStrategyName(strategy);
+    EXPECT_FALSE(w.value().fell_back_to_uniform);
+    const std::vector<double> expected = Normalized(metric);
+    EXPECT_EQ(w.value().subject_weights, expected)
+        << SamplingStrategyName(strategy);
+    EXPECT_EQ(w.value().object_weights, expected)
+        << SamplingStrategyName(strategy);
+  }
 }
 
 }  // namespace

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "graph/adjacency.h"
+#include "kg/synthetic.h"
 #include "util/rng.h"
 
 namespace kgfd {
@@ -194,6 +197,96 @@ INSTANTIATE_TEST_SUITE_P(
       return "n" + std::to_string(info.param.nodes) + "_e" +
              std::to_string(info.param.edges) + "_s" +
              std::to_string(info.param.seed);
+    });
+
+/// Graphs whose (degree, id) order differs from id order, which is what the
+/// degree-ordered triangle count orients edges by.
+struct GraphShape {
+  const char* name;
+  Adjacency (*make)();
+};
+
+/// Prints the shape by name, so test ids do not carry pointer bytes.
+void PrintTo(const GraphShape& shape, std::ostream* os) { *os << shape.name; }
+
+/// A hub with the highest id joined to every node, plus a K6 on the lowest
+/// ids (every K6 triangle also closes through the hub) and pendant leaves.
+Adjacency HubPlusClique() {
+  const EntityId n = 30;
+  const EntityId hub = n - 1;
+  std::vector<Edge> edges;
+  for (EntityId u = 0; u < 6; ++u) {
+    for (EntityId v = u + 1; v < 6; ++v) edges.push_back({v, u});
+  }
+  for (EntityId v = 0; v < hub; ++v) edges.push_back({hub, v});
+  edges.push_back({20, 21});
+  return Adjacency::FromEdges(n, edges);
+}
+
+/// Circulant graph: every node has degree 6 (i ~ i±1, i±2, i±3), so the
+/// orientation falls back to id order everywhere; dense in triangles.
+Adjacency EqualDegreeTies() {
+  const EntityId n = 40;
+  std::vector<Edge> edges;
+  for (EntityId i = 0; i < n; ++i) {
+    for (EntityId k = 1; k <= 3; ++k) edges.push_back({i, (i + k) % n});
+  }
+  return Adjacency::FromEdges(n, edges);
+}
+
+/// A random graph on the odd ids only; every even id is isolated.
+Adjacency IsolatedNodes() {
+  Rng rng(9);
+  std::vector<Edge> edges;
+  for (size_t i = 0; i < 150; ++i) {
+    edges.push_back({static_cast<EntityId>(2 * rng.UniformInt(30) + 1),
+                     static_cast<EntityId>(2 * rng.UniformInt(30) + 1)});
+  }
+  return Adjacency::FromEdges(61, edges);
+}
+
+/// K20 minus the edges {0,10}, {3,13}, {6,16} and {9,19}: those eight
+/// nodes drop to degree 18, so the degree tiers do not follow id order.
+Adjacency NearComplete() {
+  const EntityId n = 20;
+  std::vector<Edge> edges;
+  for (EntityId u = 0; u < n; ++u) {
+    for (EntityId v = u + 1; v < n; ++v) {
+      if (v == u + 10 && u % 3 == 0) continue;
+      edges.push_back({u, v});
+    }
+  }
+  return Adjacency::FromEdges(n, edges);
+}
+
+/// The projection of a small FB15K-237-shaped KG.
+Adjacency Fb15k237Scale40() {
+  const Dataset dataset =
+      std::move(GenerateSyntheticDataset(Fb15k237Config(40.0)))
+          .ValueOrDie("dataset");
+  return Adjacency::FromTripleStore(dataset.train());
+}
+
+class GraphShapePropertyTest : public ::testing::TestWithParam<GraphShape> {};
+
+TEST_P(GraphShapePropertyTest, TrianglesMatchBruteForce) {
+  const Adjacency adj = GetParam().make();
+  const std::vector<uint64_t> counts = LocalTriangleCounts(adj);
+  EXPECT_EQ(counts, reference::LocalTriangleCountsBruteForce(adj));
+  uint64_t sum = 0;
+  for (uint64_t t : counts) sum += t;
+  EXPECT_GT(sum, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GraphShapePropertyTest,
+    ::testing::Values(GraphShape{"hub_plus_clique", HubPlusClique},
+                      GraphShape{"equal_degree_ties", EqualDegreeTies},
+                      GraphShape{"isolated_nodes", IsolatedNodes},
+                      GraphShape{"near_complete", NearComplete},
+                      GraphShape{"fb15k237_scale40", Fb15k237Scale40}),
+    [](const ::testing::TestParamInfo<GraphShape>& info) {
+      return std::string(info.param.name);
     });
 
 }  // namespace

@@ -352,6 +352,39 @@ TEST_F(RecoveryTest, RestoredJobServesFactsFromItsFileOnly) {
             JobState::kDone);
 }
 
+TEST_F(RecoveryTest, RestoredTerminalJobKeepsItsRelationProgress) {
+  // A finished job reads N/N relations; after a restart restores it from
+  // the journal, its progress comes back from the manifest as N/N, not 0/0.
+  auto jobs = std::make_unique<JobManager>(BaseOptions());
+  const std::string id =
+      std::move(jobs->Submit(TestJobConfig())).ValueOrDie("submit");
+  const JobStatus before = AwaitTerminal(*jobs, id);
+  ASSERT_EQ(before.state, JobState::kDone);
+  EXPECT_EQ(before.relations_total, 5u);
+  EXPECT_EQ(before.relations_done, 5u);
+  jobs->Shutdown();
+  jobs.reset();
+
+  jobs = std::make_unique<JobManager>(BaseOptions());
+  ASSERT_EQ(jobs->recovery().jobs_restored, 1u);
+  const JobStatus after =
+      std::move(jobs->GetStatus(id)).ValueOrDie("status");
+  EXPECT_EQ(after.state, JobState::kDone);
+  EXPECT_EQ(after.relations_total, before.relations_total);
+  EXPECT_EQ(after.relations_done, before.relations_done);
+  jobs->Shutdown();
+  jobs.reset();
+
+  // Without its manifest the restored job claims no progress.
+  ASSERT_TRUE(std::filesystem::remove(work_dir_ + "/" + id + ".manifest"));
+  jobs = std::make_unique<JobManager>(BaseOptions());
+  ASSERT_EQ(jobs->recovery().jobs_restored, 1u);
+  const JobStatus bare = std::move(jobs->GetStatus(id)).ValueOrDie("status");
+  EXPECT_EQ(bare.state, JobState::kDone);
+  EXPECT_EQ(bare.relations_total, 0u);
+  EXPECT_EQ(bare.relations_done, 0u);
+}
+
 TEST_F(RecoveryTest, OlderJournalWithRunKindJobAndProgressRecordsBoots) {
   // A journal as older builds wrote it: a run-kind job (a kind the server
   // no longer runs) interrupted mid-pipeline, and a discover job killed
