@@ -36,15 +36,11 @@ Result<EmbeddingBackend> EmbeddingBackendFromEnv() {
   if (backend == nullptr || backend[0] == '\0') {
     return EmbeddingBackend::kRam;
   }
-  KGFD_ASSIGN_OR_RETURN(EmbeddingBackend parsed,
-                        EmbeddingBackendFromName(backend));
-  return parsed;
+  return EmbeddingBackendFromName(backend);
 }
 
 Status ValidateEmbeddingBackendEnv() {
-  const char* backend = std::getenv("KGFD_EMBEDDING_BACKEND");
-  if (backend == nullptr || backend[0] == '\0') return Status::OK();
-  return EmbeddingBackendFromName(backend).status();
+  return EmbeddingBackendFromEnv().status();
 }
 
 bool MmapVerifyFromEnv() {
@@ -124,15 +120,6 @@ void QuantizeRows(const Tensor& table, float* scales, float* zero_points,
   }
 }
 
-template <typename Q>
-void DequantizeRowT(const void* data, float scale, float zp, size_t r,
-                    size_t cols, float* dst) {
-  const Q* row = static_cast<const Q*>(data) + r * cols;
-  for (size_t i = 0; i < cols; ++i) {
-    dst[i] = scale * (static_cast<float>(row[i]) - zp);
-  }
-}
-
 }  // namespace
 
 QuantizedTable QuantizedTable::Quantize(const Tensor& table,
@@ -175,13 +162,7 @@ QuantizedTable QuantizedTable::View(EmbeddingDtype dtype, const void* data,
 }
 
 void QuantizedTable::DequantizeRow(size_t r, float* dst) const {
-  if (dtype_ == EmbeddingDtype::kInt16) {
-    DequantizeRowT<int16_t>(data_, scales_[r], zero_points_[r], r, cols_,
-                            dst);
-  } else {
-    DequantizeRowT<int8_t>(data_, scales_[r], zero_points_[r], r, cols_,
-                           dst);
-  }
+  kernels::DequantizeRows(KernelTable(), r, r + 1, cols_, dst);
 }
 
 uint64_t QuantizedTable::Fingerprint() const {

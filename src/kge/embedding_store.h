@@ -59,9 +59,10 @@ Result<EmbeddingDtype> EmbeddingDtypeFromName(const std::string& name);
 /// are one float per row. Storage is either owned (Quantize, ram loads)
 /// or a view into memory the keepalive holds (mmap loads).
 ///
-/// Dequantization is SINGLE-precision multiply-after-subtract — exactly
-/// the operation sequence the quantized kernels use in-tile — so a
-/// dequantized row is bit-identical everywhere it is materialized.
+/// Dequantization is kernels::DequantizeRows — SINGLE-precision
+/// multiply-after-subtract, the one dequantization the quantized kernel
+/// tiles also use — so a dequantized row is bit-identical everywhere it is
+/// materialized.
 class QuantizedTable {
  public:
   QuantizedTable() = default;
@@ -89,7 +90,7 @@ class QuantizedTable {
   void DequantizeRow(size_t r, float* dst) const;
 
   /// The kernel-facing operand view.
-  kernels::QuantTable KernelTable() const {
+  kernels::EntityTable KernelTable() const {
     return {data_, scales_, zero_points_, dtype_ == EmbeddingDtype::kInt16};
   }
 

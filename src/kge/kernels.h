@@ -8,12 +8,12 @@
 namespace kgfd {
 namespace kernels {
 
-/// Vectorized batch-scoring kernels over an embedding table's flat
-/// row-major float storage. Every kernel scores a *block of queries*
-/// against every table row in one pass: the table is walked in blocks of
-/// rows (an 8-row tile on the AVX2 path, transposed once and reused by all
-/// queries), so the bytes of a row are loaded from memory once per block
-/// of queries instead of once per query.
+/// Vectorized batch-scoring kernels: one kernel per score function, each
+/// scoring a *block of queries* against every row of one entity-table
+/// operand (EntityTable below, float or quantized) in one pass. The table
+/// is walked in tiles of rows (an 8-row tile on the AVX2 path, transposed
+/// once and reused by all queries), so the bytes of a row are loaded from
+/// memory once per block of queries instead of once per query.
 ///
 /// Determinism contract: for each (query, row) pair the floating-point
 /// operations and their order are EXACTLY the ones of the scalar
@@ -24,34 +24,41 @@ namespace kernels {
 /// ScoreObjects/ScoreSubjects implementations. Discovery goldens and
 /// checkpoint/resume bit-identity therefore hold on every backend.
 ///
+/// A quantized table is dequantized one tile at a time (DequantizeRows,
+/// amortized over the whole query block) and the tile is scored by the
+/// same loop body as a float tile. So quantized scores are bit-identical
+/// to dequantize-the-table-then-score-as-float, on both backends.
+
+/// The entity table every kernel scores against: `rows` row-major rows of
+/// `dim` elements (2 * half for paired_dot). Float rows when `scales` is
+/// null; otherwise per-row affine-quantized int8 or int16 codes with one
+/// (scale, zero_point) float pair per row (kge/embedding_store.h builds
+/// these), dequantized by DequantizeRows.
+struct EntityTable {
+  const void* data = nullptr;  // const float* for float rows
+  const float* scales = nullptr;
+  const float* zero_points = nullptr;
+  bool is_int16 = false;  // quantized only; false: int8 codes
+
+  bool quantized() const { return scales != nullptr; }
+  const float* floats() const { return static_cast<const float*>(data); }
+};
+
+/// Dequantizes rows [e0, e1) of a quantized table into `dst`
+/// ((e1 - e0) * dim floats, row-major): element i of row e becomes
+/// scales[e] * (float(code) - zero_points[e]) in single precision. The one
+/// dequantization in the tree — both backends' quantized tiles and
+/// QuantizedTable::DequantizeRow call it — so a dequantized row is
+/// bit-identical wherever it is materialized.
+void DequantizeRows(const EntityTable& table, size_t e0, size_t e1,
+                    size_t dim, float* dst);
+
 /// `qs[q]` is the query's prepared double vector (model-specific: q = s + r
 /// for TransE, w = s ⊙ r for DistMult, [w_re | w_im] for ComplEx);
 /// `outs[q]` is the query's output array of `rows` doubles.
-using ScoreFn = void (*)(const float* table, size_t rows, size_t dim,
+using ScoreFn = void (*)(const EntityTable& table, size_t rows, size_t dim,
                          const double* const* qs, size_t num_queries,
                          double* const* outs);
-
-/// A per-row affine-quantized entity table operand (kge/embedding_store.h
-/// builds these): row-major int8 or int16 codes plus one (scale,
-/// zero_point) float pair per row; element i of row r dequantizes to
-/// scales[r] * (float(code) - zero_points[r]) in single precision.
-///
-/// The quantized kernels dequantize each row TILE into the float scratch
-/// once per tile — amortized over the whole query block — then run the
-/// unmodified float kernel body. Consequences, tested as the quantized
-/// determinism contract: quantized scores are bit-identical to
-/// dequantize-the-table-then-run-the-float-kernel, and the portable and
-/// AVX2 quantized backends are bit-identical to each other.
-struct QuantTable {
-  const void* data;
-  const float* scales;
-  const float* zero_points;
-  bool is_int16;  // false: int8 codes
-};
-
-using QuantScoreFn = void (*)(const QuantTable& table, size_t rows,
-                              size_t dim, const double* const* qs,
-                              size_t num_queries, double* const* outs);
 
 struct KernelOps {
   const char* name;
@@ -61,21 +68,12 @@ struct KernelOps {
   ScoreFn l2_scores;
   /// outs[q][e] = Σ_i qs[q][i] * table[e][i]           (DistMult)
   ScoreFn dot_scores;
-  /// ComplEx: qs[q] holds [w_re | w_im], each `half` wide; rows are
-  /// 2*half floats ([re | im]). Per k the pair w_re[k]*row[k] +
-  /// w_im[k]*row[half+k] is summed before accumulation — the exact
-  /// association of the scalar ComplEx ScoreObjects loop.
+  /// ComplEx: the `dim` argument is `half`; qs[q] holds [w_re | w_im],
+  /// each `half` wide, and rows are 2*half wide ([re | im]). Per k the
+  /// pair w_re[k]*row[k] + w_im[k]*row[half+k] is summed before
+  /// accumulation — the exact association of the scalar ComplEx loop.
   /// outs[q][e] = Σ_k (qs[q][k]*table[e][k] + qs[q][half+k]*table[e][half+k])
-  void (*paired_dot_scores)(const float* table, size_t rows, size_t half,
-                            const double* const* qs, size_t num_queries,
-                            double* const* outs);
-  /// Quantized variants of the four kernels above, same score definitions
-  /// over the dequantized rows (see QuantTable). `dim`/`half` mean the
-  /// same as in their float counterparts.
-  QuantScoreFn l1_scores_quant;
-  QuantScoreFn l2_scores_quant;
-  QuantScoreFn dot_scores_quant;
-  QuantScoreFn paired_dot_scores_quant;
+  ScoreFn paired_dot_scores;
 };
 
 /// Queries per ParallelFor grain / kernel call in the batch-scoring
@@ -98,11 +96,10 @@ bool CpuSupportsAvx2();
 
 /// The dispatched backend, resolved once per process:
 ///  1. A SetKernelsOverride() pointer, when set (tests, benchmarks).
-///  2. KGFD_FORCE_PORTABLE_KERNELS=1 (or any value but "0") → portable.
-///  3. KGFD_KERNEL_BACKEND=portable|avx2 → that backend; forcing avx2 on a
-///     machine or build without it aborts with a diagnostic (the CI
-///     dispatch-matrix leg relies on the hard failure).
-///  4. cpuid: AVX2 when supported and compiled in, else portable.
+///  2. KGFD_KERNEL_BACKEND=portable|avx2 → that backend; an unknown name,
+///     or avx2 on a machine or build without it, aborts with a diagnostic
+///     (the CI dispatch-matrix leg relies on the hard failure).
+///  3. cpuid: AVX2 when supported and compiled in, else portable.
 const KernelOps& ActiveKernels();
 
 /// Name of the backend ActiveKernels() resolves to ("avx2", "portable").

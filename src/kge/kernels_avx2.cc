@@ -21,7 +21,6 @@
 #include <immintrin.h>
 
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 namespace kgfd {
@@ -29,52 +28,6 @@ namespace kernels {
 namespace {
 
 constexpr size_t kRowBlock = 8;
-
-/// Dequantizes 8 quantized rows straight into the transposed scratch
-/// layout (scratch[c * 8 + lane]). Scalar on purpose: it runs once per
-/// 8-row tile and is amortized over the whole query block, and the scalar
-/// multiply-after-subtract produces floats bit-identical to the portable
-/// quantized path (the contract the quantized kernels are tested against).
-template <typename Q>
-void DequantTransposeRows(const QuantTable& table, size_t row0, size_t dim,
-                          float* scratch) {
-  const Q* codes = static_cast<const Q*>(table.data);
-  for (size_t l = 0; l < kRowBlock; ++l) {
-    const size_t e = row0 + l;
-    const float scale = table.scales[e];
-    const float zp = table.zero_points[e];
-    const Q* row = codes + e * dim;
-    for (size_t c = 0; c < dim; ++c) {
-      scratch[c * 8 + l] = scale * (static_cast<float>(row[c]) - zp);
-    }
-  }
-}
-
-void DequantTransposeBlock(const QuantTable& table, size_t row0, size_t dim,
-                           float* scratch) {
-  if (table.is_int16) {
-    DequantTransposeRows<int16_t>(table, row0, dim, scratch);
-  } else {
-    DequantTransposeRows<int8_t>(table, row0, dim, scratch);
-  }
-}
-
-/// Dequantizes one row into `dst` (tail rows of a non-multiple-of-8 table).
-void DequantRow(const QuantTable& table, size_t e, size_t dim, float* dst) {
-  const float scale = table.scales[e];
-  const float zp = table.zero_points[e];
-  if (table.is_int16) {
-    const int16_t* row = static_cast<const int16_t*>(table.data) + e * dim;
-    for (size_t i = 0; i < dim; ++i) {
-      dst[i] = scale * (static_cast<float>(row[i]) - zp);
-    }
-  } else {
-    const int8_t* row = static_cast<const int8_t*>(table.data) + e * dim;
-    for (size_t i = 0; i < dim; ++i) {
-      dst[i] = scale * (static_cast<float>(row[i]) - zp);
-    }
-  }
-}
 
 /// Transposes 8 rows of `dim` floats into scratch[c * 8 + lane].
 void TransposeBlock(const float* table, size_t row0, size_t dim,
@@ -142,9 +95,9 @@ const __m256d kSignMask = _mm256_set1_pd(-0.0);
 
 /// The two tile sources the kernel skeletons below are generic over. The
 /// float source reads the entity table directly; the quantized source
-/// dequantizes each 8-row tile into the same transposed scratch layout
-/// (once per tile, amortized over the whole query block) so the identical
-/// vector loop body runs on both representations.
+/// dequantizes each 8-row tile (DequantizeRows, once per tile, amortized
+/// over the whole query block) and transposes it into the same scratch
+/// layout, so the identical vector loop body runs on both representations.
 struct FloatTileSource {
   const float* table;
   size_t dim;
@@ -157,16 +110,30 @@ struct FloatTileSource {
 };
 
 struct QuantTileSource {
-  const QuantTable* table;
+  const EntityTable* table;
   size_t dim;
+  float* rows;  // kRowBlock * dim floats of dequantized, untransposed rows
   void LoadTile(size_t row0, float* scratch) const {
-    DequantTransposeBlock(*table, row0, dim, scratch);
+    DequantizeRows(*table, row0, row0 + kRowBlock, dim, rows);
+    TransposeBlock(rows, 0, dim, scratch);
   }
   const float* TailRow(size_t e, float* buf) const {
-    DequantRow(*table, e, dim, buf);
+    DequantizeRows(*table, e, e + 1, dim, buf);
     return buf;
   }
 };
+
+/// Runs `body(source)` with the tile source for `table`: the one place a
+/// kernel call picks between float and quantized rows.
+template <typename Body>
+void WithTileSource(const EntityTable& table, size_t dim, const Body& body) {
+  if (table.quantized()) {
+    std::vector<float> rows(kRowBlock * dim);
+    body(QuantTileSource{&table, dim, rows.data()});
+  } else {
+    body(FloatTileSource{table.floats(), dim});
+  }
+}
 
 /// Shared skeleton of the single-factor kernels (L1 / L2 / dot): `step`
 /// folds one widened column into the accumulator pair, `finish` maps the
@@ -351,65 +318,44 @@ void PairedDotKernel(const TileSource& source, size_t rows, size_t half,
   }
 }
 
-// Dispatch-table entry points: the float kernels instantiate the skeletons
-// with the direct-read tile source (unchanged operations — bit-identical
-// to the pre-quantization AVX2 kernels), the quantized ones with the
-// dequantize-per-tile source.
+// Dispatch-table entry points: each picks the tile source once per call,
+// so the float instantiations carry no per-tile branch or indirect call
+// and their scores and speed do not depend on the quantized path.
 
-void Avx2L1(const float* table, size_t rows, size_t dim,
+void Avx2L1(const EntityTable& table, size_t rows, size_t dim,
             const double* const* qs, size_t num_queries,
             double* const* outs) {
-  L1Kernel(FloatTileSource{table, dim}, rows, dim, qs, num_queries, outs);
+  WithTileSource(table, dim, [&](const auto& source) {
+    L1Kernel(source, rows, dim, qs, num_queries, outs);
+  });
 }
 
-void Avx2L2(const float* table, size_t rows, size_t dim,
+void Avx2L2(const EntityTable& table, size_t rows, size_t dim,
             const double* const* qs, size_t num_queries,
             double* const* outs) {
-  L2Kernel(FloatTileSource{table, dim}, rows, dim, qs, num_queries, outs);
+  WithTileSource(table, dim, [&](const auto& source) {
+    L2Kernel(source, rows, dim, qs, num_queries, outs);
+  });
 }
 
-void Avx2Dot(const float* table, size_t rows, size_t dim,
+void Avx2Dot(const EntityTable& table, size_t rows, size_t dim,
              const double* const* qs, size_t num_queries,
              double* const* outs) {
-  DotKernel(FloatTileSource{table, dim}, rows, dim, qs, num_queries, outs);
+  WithTileSource(table, dim, [&](const auto& source) {
+    DotKernel(source, rows, dim, qs, num_queries, outs);
+  });
 }
 
-void Avx2PairedDot(const float* table, size_t rows, size_t half,
+void Avx2PairedDot(const EntityTable& table, size_t rows, size_t half,
                    const double* const* qs, size_t num_queries,
                    double* const* outs) {
-  PairedDotKernel(FloatTileSource{table, 2 * half}, rows, half, qs,
-                  num_queries, outs);
-}
-
-void Avx2L1Quant(const QuantTable& table, size_t rows, size_t dim,
-                 const double* const* qs, size_t num_queries,
-                 double* const* outs) {
-  L1Kernel(QuantTileSource{&table, dim}, rows, dim, qs, num_queries, outs);
-}
-
-void Avx2L2Quant(const QuantTable& table, size_t rows, size_t dim,
-                 const double* const* qs, size_t num_queries,
-                 double* const* outs) {
-  L2Kernel(QuantTileSource{&table, dim}, rows, dim, qs, num_queries, outs);
-}
-
-void Avx2DotQuant(const QuantTable& table, size_t rows, size_t dim,
-                  const double* const* qs, size_t num_queries,
-                  double* const* outs) {
-  DotKernel(QuantTileSource{&table, dim}, rows, dim, qs, num_queries, outs);
-}
-
-void Avx2PairedDotQuant(const QuantTable& table, size_t rows, size_t half,
-                        const double* const* qs, size_t num_queries,
-                        double* const* outs) {
-  PairedDotKernel(QuantTileSource{&table, 2 * half}, rows, half, qs,
-                  num_queries, outs);
+  WithTileSource(table, 2 * half, [&](const auto& source) {
+    PairedDotKernel(source, rows, half, qs, num_queries, outs);
+  });
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",        Avx2L1,      Avx2L2,       Avx2Dot,
-    Avx2PairedDot, Avx2L1Quant, Avx2L2Quant,  Avx2DotQuant,
-    Avx2PairedDotQuant,
+    "avx2", Avx2L1, Avx2L2, Avx2Dot, Avx2PairedDot,
 };
 
 }  // namespace

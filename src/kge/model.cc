@@ -82,18 +82,18 @@ Result<std::unique_ptr<Model>> CreateModel(ModelKind kind,
   return model;
 }
 
-void Model::ScoreObjectsBatch(const SideQuery* queries, size_t num_queries,
-                              std::vector<double>* const* outs) const {
-  for (size_t q = 0; q < num_queries; ++q) {
-    ScoreObjects(queries[q].entity, queries[q].relation, outs[q]);
-  }
+void Model::ScoreObjects(EntityId s, RelationId r,
+                         std::vector<double>* out) const {
+  const SideQuery query{s, r};
+  std::vector<double>* const outs[] = {out};
+  ScoreObjectsBatch(&query, 1, outs);
 }
 
-void Model::ScoreSubjectsBatch(const SideQuery* queries, size_t num_queries,
-                               std::vector<double>* const* outs) const {
-  for (size_t q = 0; q < num_queries; ++q) {
-    ScoreSubjects(queries[q].relation, queries[q].entity, outs[q]);
-  }
+void Model::ScoreSubjects(RelationId r, EntityId o,
+                          std::vector<double>* out) const {
+  const SideQuery query{o, r};
+  std::vector<double>* const outs[] = {out};
+  ScoreSubjectsBatch(&query, 1, outs);
 }
 
 Status ValidateModelShape(const Model& model, size_t num_entities,

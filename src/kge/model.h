@@ -56,31 +56,29 @@ class Model {
   /// Plausibility score of one triple.
   virtual double Score(const Triple& t) const = 0;
 
-  /// Scores (s, r, o') for every entity o'. `out` is resized to the entity
-  /// count. The workhorse of both link-prediction evaluation and candidate
-  /// ranking; implementations share per-(s, r) work across objects.
-  virtual void ScoreObjects(EntityId s, RelationId r,
-                            std::vector<double>* out) const = 0;
-
-  /// Scores (s', r, o) for every entity s'.
-  virtual void ScoreSubjects(RelationId r, EntityId o,
-                             std::vector<double>* out) const = 0;
-
-  /// Batch form of ScoreObjects: scores queries[q] = (s, r) against every
-  /// entity, resizing and filling *outs[q] like ScoreObjects would. The
-  /// hot path of candidate ranking, SideScoreCache precompute and
-  /// link-prediction evaluation: TransE/DistMult/ComplEx override this
-  /// with blocked, cache-tiled kernels (see kge/kernels.h) that walk the
-  /// entity table once per *block* of queries instead of once per query.
-  /// Results are bit-identical to per-query ScoreObjects on every kernel
-  /// backend. The base implementation loops ScoreObjects.
+  /// Batch corruption scoring: scores queries[q] = (s, r) against every
+  /// entity o', resizing *outs[q] to the entity count and filling it. The
+  /// workhorse of candidate ranking, SideScoreCache precompute and
+  /// link-prediction evaluation: TransE/DistMult/ComplEx run blocked,
+  /// cache-tiled kernels (see kge/kernels.h) that walk the entity table
+  /// once per *block* of queries instead of once per query, bit-identical
+  /// to one query at a time on every kernel backend.
   virtual void ScoreObjectsBatch(const SideQuery* queries, size_t num_queries,
-                                 std::vector<double>* const* outs) const;
+                                 std::vector<double>* const* outs) const = 0;
 
-  /// Batch form of ScoreSubjects: queries[q] = (o, r) in SideQuery terms.
+  /// Batch form of subject-side scoring: queries[q] = (o, r) in SideQuery
+  /// terms, *outs[q][s'] = score of (s', r, o).
   virtual void ScoreSubjectsBatch(const SideQuery* queries,
                                   size_t num_queries,
-                                  std::vector<double>* const* outs) const;
+                                  std::vector<double>* const* outs) const = 0;
+
+  /// Scores (s, r, o') for every entity o' into `out` (resized to the
+  /// entity count): a one-query ScoreObjectsBatch.
+  void ScoreObjects(EntityId s, RelationId r, std::vector<double>* out) const;
+
+  /// Scores (s', r, o) for every entity s': a one-query ScoreSubjectsBatch.
+  void ScoreSubjects(RelationId r, EntityId o,
+                     std::vector<double>* out) const;
 
   /// The scalar the trainer differentiates. Equal to Score() for all models
   /// except those with direction-specific heads (ConvE's reciprocal

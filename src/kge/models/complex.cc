@@ -42,75 +42,43 @@ double ComplExModel::Score(const Triple& t) const {
 
 // Both corruption sides factor into one paired-dot kernel pass against a
 // per-query complex vector, stored as [real half | imaginary half]:
-// objects use w = s * r (complex product), subjects use u = conj(r) * o.
+// objects use w = s * r (complex product), subjects use u = o * conj(r) —
+// the same product with the relation's imaginary half negated. IEEE
+// products commute and x - (-y) rounds like x + y, so u bit-equals the
+// textbook u_r = rr*or + ri*oi, u_i = rr*oi - ri*or.
 
-void ComplExModel::ScoreObjectsBatch(const SideQuery* queries,
-                                     size_t num_queries,
-                                     std::vector<double>* const* outs) const {
+void ComplExModel::ScoreBatch(const SideQuery* queries, size_t num_queries,
+                              std::vector<double>* const* outs,
+                              double imag_sign) const {
   QueryPrep prep(num_queries, dim_, num_entities(), outs);
   std::vector<float> ebuf;
   for (size_t q = 0; q < num_queries; ++q) {
-    const float* sv = EntityRow(queries[q].entity, &ebuf);
+    const float* ev = EntityRow(queries[q].entity, &ebuf);
     const float* rv = relations_.Row(queries[q].relation);
     double* wr = prep.query(q);
     double* wi = wr + half_;
     for (size_t k = 0; k < half_; ++k) {
-      const double sr = sv[k], si = sv[half_ + k];
-      const double rr = rv[k], ri = rv[half_ + k];
-      wr[k] = sr * rr - si * ri;
-      wi[k] = si * rr + sr * ri;
+      const double er = ev[k], ei = ev[half_ + k];
+      const double rr = rv[k], ri = imag_sign * rv[half_ + k];
+      wr[k] = er * rr - ei * ri;
+      wi[k] = ei * rr + er * ri;
     }
   }
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-  if (quantized()) {
-    ops.paired_dot_scores_quant(qentities_.KernelTable(), num_entities(),
-                                half_, prep.qs(), num_queries, prep.outs());
-  } else {
-    ops.paired_dot_scores(entities_.flat(), num_entities(), half_, prep.qs(),
-                          num_queries, prep.outs());
-  }
+  kernels::ActiveKernels().paired_dot_scores(EntityOperand(), num_entities(),
+                                             half_, prep.qs(), num_queries,
+                                             prep.outs());
+}
+
+void ComplExModel::ScoreObjectsBatch(const SideQuery* queries,
+                                     size_t num_queries,
+                                     std::vector<double>* const* outs) const {
+  ScoreBatch(queries, num_queries, outs, 1.0);
 }
 
 void ComplExModel::ScoreSubjectsBatch(
     const SideQuery* queries, size_t num_queries,
     std::vector<double>* const* outs) const {
-  QueryPrep prep(num_queries, dim_, num_entities(), outs);
-  std::vector<float> ebuf;
-  for (size_t q = 0; q < num_queries; ++q) {
-    const float* rv = relations_.Row(queries[q].relation);
-    const float* ov = EntityRow(queries[q].entity, &ebuf);
-    double* ur = prep.query(q);
-    double* ui = ur + half_;
-    // u = conj(r) * o: u_r[k] = rr*or + ri*oi, u_i[k] = rr*oi - ri*or.
-    for (size_t k = 0; k < half_; ++k) {
-      const double rr = rv[k], ri = rv[half_ + k];
-      const double orr = ov[k], oi = ov[half_ + k];
-      ur[k] = rr * orr + ri * oi;
-      ui[k] = rr * oi - ri * orr;
-    }
-  }
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-  if (quantized()) {
-    ops.paired_dot_scores_quant(qentities_.KernelTable(), num_entities(),
-                                half_, prep.qs(), num_queries, prep.outs());
-  } else {
-    ops.paired_dot_scores(entities_.flat(), num_entities(), half_, prep.qs(),
-                          num_queries, prep.outs());
-  }
-}
-
-void ComplExModel::ScoreObjects(EntityId s, RelationId r,
-                                std::vector<double>* out) const {
-  const SideQuery query{s, r};
-  std::vector<double>* const outs[] = {out};
-  ScoreObjectsBatch(&query, 1, outs);
-}
-
-void ComplExModel::ScoreSubjects(RelationId r, EntityId o,
-                                 std::vector<double>* out) const {
-  const SideQuery query{o, r};
-  std::vector<double>* const outs[] = {out};
-  ScoreSubjectsBatch(&query, 1, outs);
+  ScoreBatch(queries, num_queries, outs, -1.0);
 }
 
 void ComplExModel::AccumulateScoreGradient(const Triple& t, double dscore,

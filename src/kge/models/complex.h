@@ -24,10 +24,6 @@ class ComplExModel : public PairEmbeddingModel {
 
   ModelKind kind() const override { return ModelKind::kComplEx; }
   double Score(const Triple& t) const override;
-  void ScoreObjects(EntityId s, RelationId r,
-                    std::vector<double>* out) const override;
-  void ScoreSubjects(RelationId r, EntityId o,
-                     std::vector<double>* out) const override;
   void ScoreObjectsBatch(const SideQuery* queries, size_t num_queries,
                          std::vector<double>* const* outs) const override;
   void ScoreSubjectsBatch(const SideQuery* queries, size_t num_queries,
@@ -36,6 +32,11 @@ class ComplExModel : public PairEmbeddingModel {
                                GradientBatch* grads) override;
 
  private:
+  /// Scores w = entity * relation (complex product, the relation's
+  /// imaginary half times imag_sign) against every entity.
+  void ScoreBatch(const SideQuery* queries, size_t num_queries,
+                  std::vector<double>* const* outs, double imag_sign) const;
+
   size_t half_;  // complex rank = dim / 2
 };
 

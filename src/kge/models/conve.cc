@@ -132,25 +132,29 @@ double ConvEModel::TrainingScore(const Triple& t) const {
                 OutputScore(inv.hidden, t.subject));
 }
 
-void ConvEModel::ScoreObjects(EntityId s, RelationId r,
-                              std::vector<double>* out) const {
-  ForwardCache c;
-  Forward(s, r, &c);
-  out->resize(num_entities());
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    (*out)[e] = OutputScore(c.hidden, e);
+void ConvEModel::ScoreObjectsBatch(const SideQuery* queries,
+                                   size_t num_queries,
+                                   std::vector<double>* const* outs) const {
+  for (size_t q = 0; q < num_queries; ++q) {
+    ForwardCache c;
+    Forward(queries[q].entity, queries[q].relation, &c);
+    std::vector<double>& out = *outs[q];
+    out.resize(num_entities());
+    for (EntityId e = 0; e < num_entities(); ++e) {
+      out[e] = OutputScore(c.hidden, e);
+    }
   }
 }
 
-void ConvEModel::ScoreSubjects(RelationId r, EntityId o,
-                               std::vector<double>* out) const {
+void ConvEModel::ScoreSubjectsBatch(const SideQuery* queries,
+                                    size_t num_queries,
+                                    std::vector<double>* const* outs) const {
   // Reciprocal-relations head: (s', r, o) scored as (o, r^-1, s').
-  ForwardCache c;
-  Forward(o, InverseRow(r), &c);
-  out->resize(num_entities());
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    (*out)[e] = OutputScore(c.hidden, e);
+  std::vector<SideQuery> inverse(queries, queries + num_queries);
+  for (SideQuery& query : inverse) {
+    query.relation = static_cast<RelationId>(InverseRow(query.relation));
   }
+  ScoreObjectsBatch(inverse.data(), num_queries, outs);
 }
 
 void ConvEModel::BackpropDirection(EntityId in_entity, size_t relation_row,

@@ -39,10 +39,10 @@ class ConvEModel : public Model {
 
   double Score(const Triple& t) const override;
   double TrainingScore(const Triple& t) const override;
-  void ScoreObjects(EntityId s, RelationId r,
-                    std::vector<double>* out) const override;
-  void ScoreSubjects(RelationId r, EntityId o,
-                     std::vector<double>* out) const override;
+  void ScoreObjectsBatch(const SideQuery* queries, size_t num_queries,
+                         std::vector<double>* const* outs) const override;
+  void ScoreSubjectsBatch(const SideQuery* queries, size_t num_queries,
+                          std::vector<double>* const* outs) const override;
   void AccumulateScoreGradient(const Triple& t, double dscore,
                                GradientBatch* grads) override;
 

@@ -18,8 +18,9 @@ double DistMultModel::Score(const Triple& t) const {
 }
 
 // DistMult is bilinear and symmetric, so both corruption sides are one dot
-// kernel against a per-query factor vector: w = s ⊙ r for objects,
-// w = r ⊙ o for subjects.
+// kernel against w = e ⊙ r, where e is the query's entity (the subject for
+// objects, the object for subjects): r ⊙ o == o ⊙ r exactly in IEEE
+// arithmetic, so subject scoring IS object scoring.
 
 void DistMultModel::ScoreObjectsBatch(const SideQuery* queries,
                                       size_t num_queries,
@@ -27,58 +28,21 @@ void DistMultModel::ScoreObjectsBatch(const SideQuery* queries,
   QueryPrep prep(num_queries, dim_, num_entities(), outs);
   std::vector<float> ebuf;
   for (size_t q = 0; q < num_queries; ++q) {
-    const float* sv = EntityRow(queries[q].entity, &ebuf);
+    const float* ev = EntityRow(queries[q].entity, &ebuf);
     const float* rv = relations_.Row(queries[q].relation);
     double* dst = prep.query(q);
     for (size_t i = 0; i < dim_; ++i) {
-      dst[i] = static_cast<double>(sv[i]) * rv[i];
+      dst[i] = static_cast<double>(ev[i]) * rv[i];
     }
   }
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-  if (quantized()) {
-    ops.dot_scores_quant(qentities_.KernelTable(), num_entities(), dim_,
-                         prep.qs(), num_queries, prep.outs());
-  } else {
-    ops.dot_scores(entities_.flat(), num_entities(), dim_, prep.qs(),
-                   num_queries, prep.outs());
-  }
+  kernels::ActiveKernels().dot_scores(EntityOperand(), num_entities(), dim_,
+                                      prep.qs(), num_queries, prep.outs());
 }
 
 void DistMultModel::ScoreSubjectsBatch(
     const SideQuery* queries, size_t num_queries,
     std::vector<double>* const* outs) const {
-  QueryPrep prep(num_queries, dim_, num_entities(), outs);
-  std::vector<float> ebuf;
-  for (size_t q = 0; q < num_queries; ++q) {
-    const float* rv = relations_.Row(queries[q].relation);
-    const float* ov = EntityRow(queries[q].entity, &ebuf);
-    double* dst = prep.query(q);
-    for (size_t i = 0; i < dim_; ++i) {
-      dst[i] = static_cast<double>(rv[i]) * ov[i];
-    }
-  }
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-  if (quantized()) {
-    ops.dot_scores_quant(qentities_.KernelTable(), num_entities(), dim_,
-                         prep.qs(), num_queries, prep.outs());
-  } else {
-    ops.dot_scores(entities_.flat(), num_entities(), dim_, prep.qs(),
-                   num_queries, prep.outs());
-  }
-}
-
-void DistMultModel::ScoreObjects(EntityId s, RelationId r,
-                                 std::vector<double>* out) const {
-  const SideQuery query{s, r};
-  std::vector<double>* const outs[] = {out};
-  ScoreObjectsBatch(&query, 1, outs);
-}
-
-void DistMultModel::ScoreSubjects(RelationId r, EntityId o,
-                                  std::vector<double>* out) const {
-  const SideQuery query{o, r};
-  std::vector<double>* const outs[] = {out};
-  ScoreSubjectsBatch(&query, 1, outs);
+  ScoreObjectsBatch(queries, num_queries, outs);
 }
 
 void DistMultModel::AccumulateScoreGradient(const Triple& t, double dscore,

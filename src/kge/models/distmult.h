@@ -14,10 +14,6 @@ class DistMultModel : public PairEmbeddingModel {
 
   ModelKind kind() const override { return ModelKind::kDistMult; }
   double Score(const Triple& t) const override;
-  void ScoreObjects(EntityId s, RelationId r,
-                    std::vector<double>* out) const override;
-  void ScoreSubjects(RelationId r, EntityId o,
-                     std::vector<double>* out) const override;
   void ScoreObjectsBatch(const SideQuery* queries, size_t num_queries,
                          std::vector<double>* const* outs) const override;
   void ScoreSubjectsBatch(const SideQuery* queries, size_t num_queries,

@@ -1,5 +1,7 @@
 #include "kge/models/hole.h"
 
+#include <algorithm>
+
 namespace kgfd {
 
 // Throughout: score = Σ_k r_k Σ_i s_i o_{(i+k) mod l}
@@ -20,47 +22,56 @@ double HolEModel::Score(const Triple& t) const {
   return acc;
 }
 
-void HolEModel::ScoreObjects(EntityId s, RelationId r,
-                             std::vector<double>* out) const {
-  const float* sv = entities_.Row(s);
-  const float* rv = relations_.Row(r);
-  // w_j = Σ_i s_i r_{(j-i) mod l}; score(o) = <w, o>.
-  std::vector<double> w(dim_, 0.0);
-  for (size_t i = 0; i < dim_; ++i) {
-    const double si = sv[i];
-    for (size_t j = 0; j < dim_; ++j) {
-      w[j] += si * rv[(j + dim_ - i) % dim_];
+void HolEModel::ScoreObjectsBatch(const SideQuery* queries,
+                                  size_t num_queries,
+                                  std::vector<double>* const* outs) const {
+  std::vector<double> w(dim_);
+  for (size_t q = 0; q < num_queries; ++q) {
+    const float* sv = entities_.Row(queries[q].entity);
+    const float* rv = relations_.Row(queries[q].relation);
+    // w_j = Σ_i s_i r_{(j-i) mod l}; score(o) = <w, o>.
+    std::fill(w.begin(), w.end(), 0.0);
+    for (size_t i = 0; i < dim_; ++i) {
+      const double si = sv[i];
+      for (size_t j = 0; j < dim_; ++j) {
+        w[j] += si * rv[(j + dim_ - i) % dim_];
+      }
     }
-  }
-  out->resize(num_entities());
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    const float* ov = entities_.Row(e);
-    double acc = 0.0;
-    for (size_t j = 0; j < dim_; ++j) acc += w[j] * ov[j];
-    (*out)[e] = acc;
+    std::vector<double>& out = *outs[q];
+    out.resize(num_entities());
+    for (EntityId e = 0; e < num_entities(); ++e) {
+      const float* ov = entities_.Row(e);
+      double acc = 0.0;
+      for (size_t j = 0; j < dim_; ++j) acc += w[j] * ov[j];
+      out[e] = acc;
+    }
   }
 }
 
-void HolEModel::ScoreSubjects(RelationId r, EntityId o,
-                              std::vector<double>* out) const {
-  const float* rv = relations_.Row(r);
-  const float* ov = entities_.Row(o);
-  // u_i = Σ_j o_j r_{(j-i) mod l} = Σ_k r_k o_{(i+k) mod l};
-  // score(s) = <u, s>.
-  std::vector<double> u(dim_, 0.0);
-  for (size_t i = 0; i < dim_; ++i) {
-    double acc = 0.0;
-    for (size_t k = 0; k < dim_; ++k) {
-      acc += static_cast<double>(rv[k]) * ov[(i + k) % dim_];
+void HolEModel::ScoreSubjectsBatch(const SideQuery* queries,
+                                   size_t num_queries,
+                                   std::vector<double>* const* outs) const {
+  std::vector<double> u(dim_);
+  for (size_t q = 0; q < num_queries; ++q) {
+    const float* rv = relations_.Row(queries[q].relation);
+    const float* ov = entities_.Row(queries[q].entity);
+    // u_i = Σ_j o_j r_{(j-i) mod l} = Σ_k r_k o_{(i+k) mod l};
+    // score(s) = <u, s>.
+    for (size_t i = 0; i < dim_; ++i) {
+      double acc = 0.0;
+      for (size_t k = 0; k < dim_; ++k) {
+        acc += static_cast<double>(rv[k]) * ov[(i + k) % dim_];
+      }
+      u[i] = acc;
     }
-    u[i] = acc;
-  }
-  out->resize(num_entities());
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    const float* sv = entities_.Row(e);
-    double acc = 0.0;
-    for (size_t i = 0; i < dim_; ++i) acc += u[i] * sv[i];
-    (*out)[e] = acc;
+    std::vector<double>& out = *outs[q];
+    out.resize(num_entities());
+    for (EntityId e = 0; e < num_entities(); ++e) {
+      const float* sv = entities_.Row(e);
+      double acc = 0.0;
+      for (size_t i = 0; i < dim_; ++i) acc += u[i] * sv[i];
+      out[e] = acc;
+    }
   }
 }
 

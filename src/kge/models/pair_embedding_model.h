@@ -63,11 +63,17 @@ class PairEmbeddingModel : public Model {
         entities_(config.num_entities, config.embedding_dim),
         relations_(config.num_relations, relation_cols) {}
 
+  /// The entity table as the batch kernels' operand: the float rows, or
+  /// the quantized codes with their per-row parameters.
+  kernels::EntityTable EntityOperand() const {
+    return quantized() ? qentities_.KernelTable()
+                       : kernels::EntityTable{entities_.flat()};
+  }
+
   /// Entity row as floats regardless of storage mode: a direct pointer
   /// for float storage, or the row dequantized into `scratch` (resized to
   /// dim_) for quantized storage. Scalar Score()/query-prep helper — the
-  /// batch hot path hands the whole quantized table to the kernels
-  /// instead.
+  /// batch hot path hands the whole table to the kernels instead.
   const float* EntityRow(size_t e, std::vector<float>* scratch) const {
     if (!quantized()) return entities_.Row(e);
     scratch->resize(dim_);

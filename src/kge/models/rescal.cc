@@ -1,5 +1,7 @@
 #include "kge/models/rescal.h"
 
+#include <algorithm>
+
 namespace kgfd {
 
 double RescalModel::Score(const Triple& t) const {
@@ -16,44 +18,55 @@ double RescalModel::Score(const Triple& t) const {
   return acc;
 }
 
-void RescalModel::ScoreObjects(EntityId s, RelationId r,
-                               std::vector<double>* out) const {
-  const float* sv = entities_.Row(s);
-  const float* R = relations_.Row(r);
-  // w = s^T R, then score(o) = <w, o>.
-  std::vector<double> w(dim_, 0.0);
-  for (size_t i = 0; i < dim_; ++i) {
-    const double si = sv[i];
-    const float* Ri = R + i * dim_;
-    for (size_t j = 0; j < dim_; ++j) w[j] += si * Ri[j];
-  }
-  out->resize(num_entities());
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    const float* ov = entities_.Row(e);
-    double acc = 0.0;
-    for (size_t j = 0; j < dim_; ++j) acc += w[j] * ov[j];
-    (*out)[e] = acc;
+void RescalModel::ScoreObjectsBatch(const SideQuery* queries,
+                                    size_t num_queries,
+                                    std::vector<double>* const* outs) const {
+  std::vector<double> w(dim_);
+  for (size_t q = 0; q < num_queries; ++q) {
+    const float* sv = entities_.Row(queries[q].entity);
+    const float* R = relations_.Row(queries[q].relation);
+    // w = s^T R, then score(o) = <w, o>.
+    std::fill(w.begin(), w.end(), 0.0);
+    for (size_t i = 0; i < dim_; ++i) {
+      const double si = sv[i];
+      const float* Ri = R + i * dim_;
+      for (size_t j = 0; j < dim_; ++j) w[j] += si * Ri[j];
+    }
+    std::vector<double>& out = *outs[q];
+    out.resize(num_entities());
+    for (EntityId e = 0; e < num_entities(); ++e) {
+      const float* ov = entities_.Row(e);
+      double acc = 0.0;
+      for (size_t j = 0; j < dim_; ++j) acc += w[j] * ov[j];
+      out[e] = acc;
+    }
   }
 }
 
-void RescalModel::ScoreSubjects(RelationId r, EntityId o,
-                                std::vector<double>* out) const {
-  const float* R = relations_.Row(r);
-  const float* ov = entities_.Row(o);
-  // u = R o, then score(s) = <s, u>.
-  std::vector<double> u(dim_, 0.0);
-  for (size_t i = 0; i < dim_; ++i) {
-    const float* Ri = R + i * dim_;
-    double acc = 0.0;
-    for (size_t j = 0; j < dim_; ++j) acc += static_cast<double>(Ri[j]) * ov[j];
-    u[i] = acc;
-  }
-  out->resize(num_entities());
-  for (EntityId e = 0; e < num_entities(); ++e) {
-    const float* sv = entities_.Row(e);
-    double acc = 0.0;
-    for (size_t i = 0; i < dim_; ++i) acc += u[i] * sv[i];
-    (*out)[e] = acc;
+void RescalModel::ScoreSubjectsBatch(const SideQuery* queries,
+                                     size_t num_queries,
+                                     std::vector<double>* const* outs) const {
+  std::vector<double> u(dim_);
+  for (size_t q = 0; q < num_queries; ++q) {
+    const float* R = relations_.Row(queries[q].relation);
+    const float* ov = entities_.Row(queries[q].entity);
+    // u = R o, then score(s) = <s, u>.
+    for (size_t i = 0; i < dim_; ++i) {
+      const float* Ri = R + i * dim_;
+      double acc = 0.0;
+      for (size_t j = 0; j < dim_; ++j) {
+        acc += static_cast<double>(Ri[j]) * ov[j];
+      }
+      u[i] = acc;
+    }
+    std::vector<double>& out = *outs[q];
+    out.resize(num_entities());
+    for (EntityId e = 0; e < num_entities(); ++e) {
+      const float* sv = entities_.Row(e);
+      double acc = 0.0;
+      for (size_t i = 0; i < dim_; ++i) acc += u[i] * sv[i];
+      out[e] = acc;
+    }
   }
 }
 

@@ -33,70 +33,38 @@ double TransEModel::Score(const Triple& t) const {
 // Both corruption sides reduce to a distance-to-one-target kernel: objects
 // rank against q = s + r (score -||q - o'||), subjects against q = o - r
 // (score -||s' - q||, and ||s' - q|| == ||q - s'|| exactly in IEEE
-// arithmetic, so one kernel family serves both sides bit-identically).
+// arithmetic, so one kernel serves both sides bit-identically). o - r is
+// computed as o + (-1 * r), which IEEE arithmetic rounds to the same value.
+
+void TransEModel::ScoreBatch(const SideQuery* queries, size_t num_queries,
+                             std::vector<double>* const* outs,
+                             double relation_sign) const {
+  QueryPrep prep(num_queries, dim_, num_entities(), outs);
+  std::vector<float> ebuf;
+  for (size_t q = 0; q < num_queries; ++q) {
+    const float* ev = EntityRow(queries[q].entity, &ebuf);
+    const float* rv = relations_.Row(queries[q].relation);
+    double* dst = prep.query(q);
+    for (size_t i = 0; i < dim_; ++i) {
+      dst[i] = static_cast<double>(ev[i]) + relation_sign * rv[i];
+    }
+  }
+  const kernels::KernelOps& ops = kernels::ActiveKernels();
+  (norm_ == 1 ? ops.l1_scores : ops.l2_scores)(
+      EntityOperand(), num_entities(), dim_, prep.qs(), num_queries,
+      prep.outs());
+}
 
 void TransEModel::ScoreObjectsBatch(const SideQuery* queries,
                                     size_t num_queries,
                                     std::vector<double>* const* outs) const {
-  QueryPrep prep(num_queries, dim_, num_entities(), outs);
-  std::vector<float> ebuf;
-  for (size_t q = 0; q < num_queries; ++q) {
-    const float* sv = EntityRow(queries[q].entity, &ebuf);
-    const float* rv = relations_.Row(queries[q].relation);
-    double* dst = prep.query(q);
-    for (size_t i = 0; i < dim_; ++i) {
-      dst[i] = static_cast<double>(sv[i]) + rv[i];
-    }
-  }
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-  if (quantized()) {
-    (norm_ == 1 ? ops.l1_scores_quant : ops.l2_scores_quant)(
-        qentities_.KernelTable(), num_entities(), dim_, prep.qs(),
-        num_queries, prep.outs());
-  } else {
-    (norm_ == 1 ? ops.l1_scores : ops.l2_scores)(
-        entities_.flat(), num_entities(), dim_, prep.qs(), num_queries,
-        prep.outs());
-  }
+  ScoreBatch(queries, num_queries, outs, 1.0);
 }
 
 void TransEModel::ScoreSubjectsBatch(const SideQuery* queries,
                                      size_t num_queries,
                                      std::vector<double>* const* outs) const {
-  QueryPrep prep(num_queries, dim_, num_entities(), outs);
-  std::vector<float> ebuf;
-  for (size_t q = 0; q < num_queries; ++q) {
-    const float* rv = relations_.Row(queries[q].relation);
-    const float* ov = EntityRow(queries[q].entity, &ebuf);
-    double* dst = prep.query(q);
-    for (size_t i = 0; i < dim_; ++i) {
-      dst[i] = static_cast<double>(ov[i]) - rv[i];
-    }
-  }
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-  if (quantized()) {
-    (norm_ == 1 ? ops.l1_scores_quant : ops.l2_scores_quant)(
-        qentities_.KernelTable(), num_entities(), dim_, prep.qs(),
-        num_queries, prep.outs());
-  } else {
-    (norm_ == 1 ? ops.l1_scores : ops.l2_scores)(
-        entities_.flat(), num_entities(), dim_, prep.qs(), num_queries,
-        prep.outs());
-  }
-}
-
-void TransEModel::ScoreObjects(EntityId s, RelationId r,
-                               std::vector<double>* out) const {
-  const SideQuery query{s, r};
-  std::vector<double>* const outs[] = {out};
-  ScoreObjectsBatch(&query, 1, outs);
-}
-
-void TransEModel::ScoreSubjects(RelationId r, EntityId o,
-                                std::vector<double>* out) const {
-  const SideQuery query{o, r};
-  std::vector<double>* const outs[] = {out};
-  ScoreSubjectsBatch(&query, 1, outs);
+  ScoreBatch(queries, num_queries, outs, -1.0);
 }
 
 void TransEModel::AccumulateScoreGradient(const Triple& t, double dscore,

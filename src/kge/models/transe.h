@@ -14,10 +14,6 @@ class TransEModel : public PairEmbeddingModel {
 
   ModelKind kind() const override { return ModelKind::kTransE; }
   double Score(const Triple& t) const override;
-  void ScoreObjects(EntityId s, RelationId r,
-                    std::vector<double>* out) const override;
-  void ScoreSubjects(RelationId r, EntityId o,
-                     std::vector<double>* out) const override;
   void ScoreObjectsBatch(const SideQuery* queries, size_t num_queries,
                          std::vector<double>* const* outs) const override;
   void ScoreSubjectsBatch(const SideQuery* queries, size_t num_queries,
@@ -28,6 +24,11 @@ class TransEModel : public PairEmbeddingModel {
   int norm() const { return norm_; }
 
  private:
+  /// Scores q = entity + relation_sign * relation against every entity.
+  void ScoreBatch(const SideQuery* queries, size_t num_queries,
+                  std::vector<double>* const* outs,
+                  double relation_sign) const;
+
   int norm_;
 };
 

@@ -18,25 +18,9 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates elapsed time across multiple start/stop intervals. Used to
-/// split discovery runtime into generation vs evaluation phases.
-class IntervalTimer {
- public:
-  void Start() { timer_.Restart(); }
-  void Stop() { total_ += timer_.ElapsedSeconds(); }
-  double TotalSeconds() const { return total_; }
-  void Reset() { total_ = 0.0; }
-
- private:
-  WallTimer timer_;
-  double total_ = 0.0;
 };
 
 }  // namespace kgfd

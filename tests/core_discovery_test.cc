@@ -550,15 +550,25 @@ class TiedScoreModel : public Model {
     return static_cast<double>(t.object / 2) +
            static_cast<double>(t.subject / 3);
   }
-  void ScoreObjects(EntityId s, RelationId r,
-                    std::vector<double>* out) const override {
-    out->resize(entities_);
-    for (EntityId o = 0; o < entities_; ++o) (*out)[o] = Score({s, r, o});
+  void ScoreObjectsBatch(const SideQuery* queries, size_t num_queries,
+                         std::vector<double>* const* outs) const override {
+    for (size_t q = 0; q < num_queries; ++q) {
+      const auto [s, r] = queries[q];
+      outs[q]->resize(entities_);
+      for (EntityId o = 0; o < entities_; ++o) {
+        (*outs[q])[o] = Score({s, r, o});
+      }
+    }
   }
-  void ScoreSubjects(RelationId r, EntityId o,
-                     std::vector<double>* out) const override {
-    out->resize(entities_);
-    for (EntityId s = 0; s < entities_; ++s) (*out)[s] = Score({s, r, o});
+  void ScoreSubjectsBatch(const SideQuery* queries, size_t num_queries,
+                          std::vector<double>* const* outs) const override {
+    for (size_t q = 0; q < num_queries; ++q) {
+      const auto [o, r] = queries[q];
+      outs[q]->resize(entities_);
+      for (EntityId s = 0; s < entities_; ++s) {
+        (*outs[q])[s] = Score({s, r, o});
+      }
+    }
   }
   void AccumulateScoreGradient(const Triple&, double,
                                GradientBatch*) override {}

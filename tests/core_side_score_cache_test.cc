@@ -25,17 +25,27 @@ class CountingModel : public Model {
     return static_cast<double>(t.relation * 100 + t.object) -
            0.01 * static_cast<double>(t.subject);
   }
-  void ScoreObjects(EntityId s, RelationId r,
-                    std::vector<double>* out) const override {
-    object_passes.fetch_add(1);
-    out->resize(entities_);
-    for (EntityId o = 0; o < entities_; ++o) (*out)[o] = Score({s, r, o});
+  void ScoreObjectsBatch(const SideQuery* queries, size_t num_queries,
+                         std::vector<double>* const* outs) const override {
+    for (size_t q = 0; q < num_queries; ++q) {
+      object_passes.fetch_add(1);
+      const auto [s, r] = queries[q];
+      outs[q]->resize(entities_);
+      for (EntityId o = 0; o < entities_; ++o) {
+        (*outs[q])[o] = Score({s, r, o});
+      }
+    }
   }
-  void ScoreSubjects(RelationId r, EntityId o,
-                     std::vector<double>* out) const override {
-    subject_passes.fetch_add(1);
-    out->resize(entities_);
-    for (EntityId s = 0; s < entities_; ++s) (*out)[s] = Score({s, r, o});
+  void ScoreSubjectsBatch(const SideQuery* queries, size_t num_queries,
+                          std::vector<double>* const* outs) const override {
+    for (size_t q = 0; q < num_queries; ++q) {
+      subject_passes.fetch_add(1);
+      const auto [o, r] = queries[q];
+      outs[q]->resize(entities_);
+      for (EntityId s = 0; s < entities_; ++s) {
+        (*outs[q])[s] = Score({s, r, o});
+      }
+    }
   }
   void AccumulateScoreGradient(const Triple&, double,
                                GradientBatch*) override {}

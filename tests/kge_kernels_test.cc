@@ -227,26 +227,27 @@ TEST_F(KernelsTest, MultiQueryBatchBitIdenticalToSingleQuery) {
 TEST_F(KernelsTest, PortableKernelSemanticsOnHandcraftedTable) {
   // Two rows, dim 2, in flat row-major float storage.
   const float table[] = {1.0f, 2.0f, -3.0f, 0.5f};
+  const kernels::EntityTable entities{table};
   const double q0[] = {2.0, 2.0};
   const double* qs[] = {q0};
   std::vector<double> out(2);
   double* outs[] = {out.data()};
   const KernelOps& ops = PortableKernels();
 
-  ops.l1_scores(table, 2, 2, qs, 1, outs);
+  ops.l1_scores(entities, 2, 2, qs, 1, outs);
   EXPECT_DOUBLE_EQ(out[0], -(1.0 + 0.0));        // -(|2-1| + |2-2|)
   EXPECT_DOUBLE_EQ(out[1], -(5.0 + 1.5));        // -(|2+3| + |2-0.5|)
 
-  ops.l2_scores(table, 2, 2, qs, 1, outs);
+  ops.l2_scores(entities, 2, 2, qs, 1, outs);
   EXPECT_DOUBLE_EQ(out[0], -1.0);                // -sqrt(1 + 0)
   EXPECT_DOUBLE_EQ(out[1], -std::sqrt(25.0 + 2.25));
 
-  ops.dot_scores(table, 2, 2, qs, 1, outs);
+  ops.dot_scores(entities, 2, 2, qs, 1, outs);
   EXPECT_DOUBLE_EQ(out[0], 2.0 + 4.0);
   EXPECT_DOUBLE_EQ(out[1], -6.0 + 1.0);
 
   // paired_dot with half=1: rows are [re | im] pairs.
-  ops.paired_dot_scores(table, 2, 1, qs, 1, outs);
+  ops.paired_dot_scores(entities, 2, 1, qs, 1, outs);
   EXPECT_DOUBLE_EQ(out[0], 2.0 * 1.0 + 2.0 * 2.0);
   EXPECT_DOUBLE_EQ(out[1], 2.0 * -3.0 + 2.0 * 0.5);
 }

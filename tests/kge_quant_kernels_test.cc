@@ -16,10 +16,10 @@
 namespace kgfd {
 namespace {
 
-// The quantized determinism contract (see kernels::QuantTable): quantized
-// kernels must produce scores BIT-IDENTICAL to dequantizing the whole
-// table into floats and running the float kernel, and the portable and
-// AVX2 quantized backends must be bit-identical to each other. These tests
+// The quantized determinism contract (see kernels.h): quantized operands
+// must produce scores BIT-IDENTICAL to dequantizing the whole table into
+// floats and scoring the float operand, and the portable and AVX2 backends
+// must be bit-identical to each other on quantized operands. These tests
 // pin both properties, which is what lets the drift tests reason about a
 // single quantized score function instead of one per backend.
 
@@ -56,29 +56,15 @@ Tensor DequantizeAll(const QuantizedTable& q) {
   return t;
 }
 
-using FloatFn = void (*)(const float*, size_t, size_t, const double* const*,
-                         size_t, double* const*);
-using QuantFn = void (*)(const kernels::QuantTable&, size_t, size_t,
-                         const double* const*, size_t, double* const*);
-
-std::vector<std::vector<double>> RunFloat(FloatFn fn, const Tensor& table,
-                                          size_t dim, const KernelCase& c) {
+/// Runs one kernel over `table` (a float or a quantized operand).
+std::vector<std::vector<double>> ScoreWith(kernels::ScoreFn fn,
+                                           const kernels::EntityTable& table,
+                                           size_t dim, const KernelCase& c) {
   std::vector<std::vector<double>> outs(kQueries,
                                         std::vector<double>(kRows));
   std::vector<double*> out_ptrs;
   for (auto& o : outs) out_ptrs.push_back(o.data());
-  fn(table.flat(), kRows, dim, c.qs.data(), kQueries, out_ptrs.data());
-  return outs;
-}
-
-std::vector<std::vector<double>> RunQuant(QuantFn fn, size_t dim,
-                                          const KernelCase& c) {
-  std::vector<std::vector<double>> outs(kQueries,
-                                        std::vector<double>(kRows));
-  std::vector<double*> out_ptrs;
-  for (auto& o : outs) out_ptrs.push_back(o.data());
-  fn(c.quant.KernelTable(), kRows, dim, c.qs.data(), kQueries,
-     out_ptrs.data());
+  fn(table, kRows, dim, c.qs.data(), kQueries, out_ptrs.data());
   return outs;
 }
 
@@ -93,34 +79,32 @@ void ExpectBitIdentical(const std::vector<std::vector<double>>& a,
   }
 }
 
-struct KernelPair {
+struct NamedKernel {
   const char* name;
-  FloatFn float_fn;
-  QuantFn quant_fn;
+  kernels::ScoreFn fn;
   bool paired;  // half-width dim parameter (ComplEx)
 };
 
-std::vector<KernelPair> Pairs(const kernels::KernelOps& ops) {
+std::vector<NamedKernel> Kernels(const kernels::KernelOps& ops) {
   return {
-      {"l1", ops.l1_scores, ops.l1_scores_quant, false},
-      {"l2", ops.l2_scores, ops.l2_scores_quant, false},
-      {"dot", ops.dot_scores, ops.dot_scores_quant, false},
-      {"paired_dot", ops.paired_dot_scores, ops.paired_dot_scores_quant,
-       true},
+      {"l1", ops.l1_scores, false},
+      {"l2", ops.l2_scores, false},
+      {"dot", ops.dot_scores, false},
+      {"paired_dot", ops.paired_dot_scores, true},
   };
 }
 
 class QuantKernelTest : public ::testing::TestWithParam<EmbeddingDtype> {};
 
 TEST_P(QuantKernelTest, PortableQuantMatchesDequantizedFloatBitwise) {
-  const kernels::KernelOps& ops = kernels::PortableKernels();
-  for (const KernelPair& pair : Pairs(ops)) {
-    const size_t dim = pair.paired ? kDim / 2 : kDim;
+  for (const NamedKernel& k : Kernels(kernels::PortableKernels())) {
+    const size_t dim = k.paired ? kDim / 2 : kDim;
     KernelCase c = MakeCase(GetParam());
     const Tensor dequantized = DequantizeAll(c.quant);
-    const auto expected = RunFloat(pair.float_fn, dequantized, dim, c);
-    const auto actual = RunQuant(pair.quant_fn, dim, c);
-    ExpectBitIdentical(expected, actual, pair.name);
+    const auto expected =
+        ScoreWith(k.fn, kernels::EntityTable{dequantized.flat()}, dim, c);
+    const auto actual = ScoreWith(k.fn, c.quant.KernelTable(), dim, c);
+    ExpectBitIdentical(expected, actual, k.name);
   }
 }
 
@@ -129,15 +113,16 @@ TEST_P(QuantKernelTest, Avx2QuantMatchesPortableQuantBitwise) {
   if (avx2 == nullptr || !kernels::CpuSupportsAvx2()) {
     GTEST_SKIP() << "AVX2 backend unavailable";
   }
-  const kernels::KernelOps& portable = kernels::PortableKernels();
-  const auto avx2_pairs = Pairs(*avx2);
-  const auto portable_pairs = Pairs(portable);
-  for (size_t i = 0; i < avx2_pairs.size(); ++i) {
-    const size_t dim = avx2_pairs[i].paired ? kDim / 2 : kDim;
+  const auto avx2_kernels = Kernels(*avx2);
+  const auto portable_kernels = Kernels(kernels::PortableKernels());
+  for (size_t i = 0; i < avx2_kernels.size(); ++i) {
+    const size_t dim = avx2_kernels[i].paired ? kDim / 2 : kDim;
     KernelCase c = MakeCase(GetParam());
-    const auto expected = RunQuant(portable_pairs[i].quant_fn, dim, c);
-    const auto actual = RunQuant(avx2_pairs[i].quant_fn, dim, c);
-    ExpectBitIdentical(expected, actual, avx2_pairs[i].name);
+    const auto expected =
+        ScoreWith(portable_kernels[i].fn, c.quant.KernelTable(), dim, c);
+    const auto actual =
+        ScoreWith(avx2_kernels[i].fn, c.quant.KernelTable(), dim, c);
+    ExpectBitIdentical(expected, actual, avx2_kernels[i].name);
   }
 }
 
@@ -146,13 +131,14 @@ TEST_P(QuantKernelTest, Avx2QuantMatchesDequantizedFloatBitwise) {
   if (avx2 == nullptr || !kernels::CpuSupportsAvx2()) {
     GTEST_SKIP() << "AVX2 backend unavailable";
   }
-  for (const KernelPair& pair : Pairs(*avx2)) {
-    const size_t dim = pair.paired ? kDim / 2 : kDim;
+  for (const NamedKernel& k : Kernels(*avx2)) {
+    const size_t dim = k.paired ? kDim / 2 : kDim;
     KernelCase c = MakeCase(GetParam());
     const Tensor dequantized = DequantizeAll(c.quant);
-    const auto expected = RunFloat(pair.float_fn, dequantized, dim, c);
-    const auto actual = RunQuant(pair.quant_fn, dim, c);
-    ExpectBitIdentical(expected, actual, pair.name);
+    const auto expected =
+        ScoreWith(k.fn, kernels::EntityTable{dequantized.flat()}, dim, c);
+    const auto actual = ScoreWith(k.fn, c.quant.KernelTable(), dim, c);
+    ExpectBitIdentical(expected, actual, k.name);
   }
 }
 
@@ -168,18 +154,13 @@ INSTANTIATE_TEST_SUITE_P(Dtypes, QuantKernelTest,
 /// quantized form must score batches bit-identically to a float model
 /// built from the dequantized table — on every dispatch backend — and its
 /// scalar Score() must agree with the batch path.
-class QuantModelTest
-    : public ::testing::TestWithParam<std::tuple<ModelKind, EmbeddingDtype>> {
-};
-
-TEST_P(QuantModelTest, QuantizedBatchMatchesDequantizedFloatModel) {
-  const ModelKind kind = std::get<0>(GetParam());
-  const EmbeddingDtype dtype = std::get<1>(GetParam());
+void ExpectQuantizedModelMatchesFloat(ModelKind kind, EmbeddingDtype dtype,
+                                      int transe_norm) {
   ModelConfig config;
   config.num_entities = 97;
   config.num_relations = 5;
   config.embedding_dim = 16;
-  config.transe_norm = 1;
+  config.transe_norm = transe_norm;
   Rng rng(92);
   auto quant_model =
       std::move(CreateModel(kind, config, &rng)).ValueOrDie("create");
@@ -250,6 +231,22 @@ TEST_P(QuantModelTest, QuantizedBatchMatchesDequantizedFloatModel) {
   for (EntityId s = 0; s < 11; ++s) {
     const Triple t{s, static_cast<RelationId>(s % 5), (s + 13u) % 97u};
     EXPECT_EQ(quant_model->Score(t), float_model->Score(t));
+  }
+}
+
+class QuantModelTest
+    : public ::testing::TestWithParam<std::tuple<ModelKind, EmbeddingDtype>> {
+};
+
+TEST_P(QuantModelTest, QuantizedBatchMatchesDequantizedFloatModel) {
+  const ModelKind kind = std::get<0>(GetParam());
+  // TransE routes L1 and L2 to different kernels: check both routes.
+  const std::vector<int> norms =
+      kind == ModelKind::kTransE ? std::vector<int>{1, 2}
+                                 : std::vector<int>{1};
+  for (int norm : norms) {
+    SCOPED_TRACE("transe_norm " + std::to_string(norm));
+    ExpectQuantizedModelMatchesFloat(kind, std::get<1>(GetParam()), norm);
   }
 }
 
